@@ -1,7 +1,8 @@
 // Command piolint runs the repository's custom invariant analyzers
 // (guardedby, walorder, determinism, snapshotmut, lockorder, ioerr) over
 // the given package patterns and exits non-zero if any diagnostic is
-// reported.
+// reported. A //lint:ignore directive that suppresses nothing is reported
+// too (as staleignore), unless -only left its analyzer out of the run.
 //
 // It is a self-contained driver in the shape of a go/analysis
 // multichecker: packages are loaded and type-checked from source with

@@ -497,7 +497,7 @@ func (t *Tree) FlushBatch(at vtime.Ticks, bcnt int) (vtime.Ticks, error) {
 			// group's data writes, which are themselves deferred into the
 			// coordinator's gang. Hand the record to the coordinator, which
 			// appends and gang-forces it after the data submission.
-			t.walGang.deferEnd(t.log, end)
+			t.walGang.deferEnd(t, end)
 		} else {
 			t.log.Append(end)
 			// A retried force resubmits the whole unforced tail, so the

@@ -580,6 +580,56 @@ func TestFaultMatrixMigrationAbortCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestFaultMatrixMigrationResumeRetried: a crash leaves a migration with
+// one durable chunk, and recovery resumes it while the destination log
+// throws one transient fault. The resume's chunk force retries like every
+// other engine force, so Recover succeeds instead of failing outright.
+func TestFaultMatrixMigrationResumeRetried(t *testing.T) {
+	retry := RetryPolicy{MaxRetries: 4, BaseBackoff: 20 * vtime.Millisecond, MaxBackoff: 80 * vtime.Millisecond}
+	// A roomy OPQ keeps flushes, and their log forces, out of the chunk,
+	// the replay and the resume: the resume's force is the destination
+	// log's first write after the crash.
+	fr, space, _, _ := newFaultForestFull(t, retry, HealPolicy{}, EvacuationPolicy{}, 64)
+	at := fmBaseline(t, fr)
+	m, at, err := fr.StartMigration(at, 0, kv.Key(fmPerShard), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, at, err = m.Step(at); err != nil { // one chunk durable
+		t.Fatal(err)
+	}
+	fr.Crash()
+	retries := fr.Stats().IORetries
+	// The window closes well before the first retry's backoff expires.
+	pl := fmInstall(t, space, fmt.Sprintf("transient call=sync file=wal1 until=%dns", at+10*vtime.Millisecond))
+	rep, at, err := fr.Recover(at)
+	if err != nil {
+		t.Fatalf("Recover under one transient destination-log fault: %v", err)
+	}
+	if n := pl.Stats().Transient; n != 1 {
+		t.Fatalf("injected %d transient faults, want 1", n)
+	}
+	if rep.ResumedMigrations != 1 {
+		t.Fatalf("expected the migration to resume, got %+v", rep)
+	}
+	if got := fr.Stats().IORetries; got <= retries {
+		t.Fatalf("IORetries = %d after recovery, want more than %d", got, retries)
+	}
+	space.SetInjector(nil)
+	at = fmCheckKeys(t, fr, at, fmShardKeys(0))
+	at = fmCheckKeys(t, fr, at, fmShardKeys(1))
+	recs, _, err := fr.RangeSearch(at, 0, kv.Key(fmPerShard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != fmPerShard {
+		t.Fatalf("recovered range holds %d keys, want %d (duplicate or lost key)", len(recs), fmPerShard)
+	}
+	if err := fr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFaultMatrixCrashDuringGroupCommit extends the crash-injection
 // matrix with injected-EIO-during-group-commit cases: a transient fault
 // hits the flush's data gang, and the machine crashes either BEFORE any

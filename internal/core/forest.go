@@ -139,40 +139,52 @@ func (g *writeGang) submitSubset(at vtime.Ticks, idxs []int) (vtime.Ticks, error
 	return ssdio.PsyncGang(at, batches)
 }
 
-// logGang accumulates the WAL work of one forest group flush: which
-// member logs need forcing (deduplicated, in first-registration order, so
-// one shared log multiplexed by Relation registers once) and the FlushEnd
-// records whose append must wait until the group's data writes are on the
-// device.
+// logGang accumulates the WAL work of one forest group flush: the member
+// trees whose logs need forcing (in first-registration order; a member
+// registers once however many forces its flush defers) and the FlushEnd
+// records whose append must wait until the group's data writes are on
+// the device.
 type logGang struct {
-	order []*wal.Log
-	seen  map[*wal.Log]bool
+	order []*Tree
+	seen  map[*Tree]bool
 	ends  []deferredEnd
 }
 
 // deferredEnd is one member's FlushEnd record, held back by the group
 // commit until after the data gang submission.
 type deferredEnd struct {
-	log *wal.Log
+	t   *Tree
 	rec wal.Record
 }
 
 func newLogGang() *logGang {
-	return &logGang{seen: make(map[*wal.Log]bool)}
+	return &logGang{seen: make(map[*Tree]bool)}
 }
 
-// need registers l for the next ganged force.
-func (g *logGang) need(l *wal.Log) {
-	if !g.seen[l] {
-		g.seen[l] = true
-		g.order = append(g.order, l)
+// need registers t's log for the next ganged force.
+func (g *logGang) need(t *Tree) {
+	if !g.seen[t] {
+		g.seen[t] = true
+		g.order = append(g.order, t)
 	}
 }
 
 // deferEnd holds back a member's FlushEnd record for the commit force.
-func (g *logGang) deferEnd(l *wal.Log, r wal.Record) {
-	g.need(l)
-	g.ends = append(g.ends, deferredEnd{log: l, rec: r})
+func (g *logGang) deferEnd(t *Tree, r wal.Record) {
+	g.need(t)
+	g.ends = append(g.ends, deferredEnd{t: t, rec: r})
+}
+
+// logs returns the registered members' logs in registration order,
+// leaving out the members in skip.
+func (g *logGang) logs(skip map[*Tree]error) []*wal.Log {
+	out := make([]*wal.Log, 0, len(g.order))
+	for _, t := range g.order {
+		if _, ok := skip[t]; !ok {
+			out = append(out, t.log)
+		}
+	}
+	return out
 }
 
 // ForestConfig parameterizes a sharded PIO forest.
@@ -190,11 +202,10 @@ type ForestConfig struct {
 	// extending the eq.-(10) tuning to the sharded setting.
 	Shard Config
 
-	// Logs enables write-ahead logging: nil disables it, a single log is
-	// shared by every shard (records multiplexed by Relation), and one log
-	// per page file gives each shard its own. All log files must live on
-	// the same ssdio.Space as the page files for group commit to gang
-	// their forces.
+	// Logs enables write-ahead logging: nil disables it, otherwise it holds
+	// exactly one distinct log per page file, shard i writing Logs[i]. All
+	// log files must live on the same ssdio.Space as the page files for
+	// group commit to gang their forces.
 	Logs []*wal.Log
 	// DisableLogGang makes every group-flush member force its own log
 	// serially (the per-shard baseline) instead of riding the coordinator's
@@ -309,14 +320,10 @@ type Forest struct {
 	// autoMu).
 	autoMig *Migration
 
-	// logs are the distinct attached WALs (empty without logging);
-	// logGangEnabled selects ganged vs serial group-commit forces;
-	// sharedLog is true when a log serves more than one shard, in which
-	// case group flushes must hold every shard lock (appends to the shared
-	// log from non-member shards would otherwise race the ganged force).
+	// logs holds shard i's WAL at index i (empty without logging);
+	// logGangEnabled selects ganged vs serial group-commit forces.
 	logs           []*wal.Log
 	logGangEnabled bool
-	sharedLog      bool
 
 	groupFlushes   atomic.Int64
 	groupedShards  atomic.Int64
@@ -538,13 +545,18 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 	if err := ValidatePartitioner(part, n); err != nil {
 		return nil, err
 	}
-	if len(cfg.Logs) != 0 && len(cfg.Logs) != 1 && len(cfg.Logs) != n {
-		return nil, fmt.Errorf("core: forest got %d WAL logs, want 0 (none), 1 (shared) or %d (per shard)", len(cfg.Logs), n)
+	if len(cfg.Logs) != 0 && len(cfg.Logs) != n {
+		return nil, fmt.Errorf("core: forest got %d WAL logs, want 0 (none) or %d (one per shard)", len(cfg.Logs), n)
 	}
+	owner := make(map[*wal.Log]int, len(cfg.Logs))
 	for i, l := range cfg.Logs {
 		if l == nil {
 			return nil, fmt.Errorf("core: forest WAL log %d is nil", i)
 		}
+		if j, dup := owner[l]; dup {
+			return nil, fmt.Errorf("core: forest WAL log %d is also shard %d's log; each shard needs its own", i, j)
+		}
+		owner[l] = i
 	}
 	ripe := cfg.RipeFraction
 	if ripe <= 0 || ripe > 1 {
@@ -577,8 +589,8 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 		retry:          cfg.Shard.Retry,
 		heal:           cfg.Heal.norm(),
 		evac:           cfg.Evacuation.norm(),
+		logs:           append([]*wal.Log(nil), cfg.Logs...),
 	}
-	seenLogs := make(map[*wal.Log]bool)
 	for i, pf := range pfs {
 		c := shardCfg
 		c.Relation = cfg.Shard.Relation + uint32(i)
@@ -586,20 +598,11 @@ func NewForest(pfs []*pagefile.PageFile, cfg ForestConfig) (*Forest, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
-		if len(cfg.Logs) > 0 {
-			l := cfg.Logs[0]
-			if len(cfg.Logs) == n {
-				l = cfg.Logs[i]
-			}
-			tr.AttachWAL(l)
-			if !seenLogs[l] {
-				seenLogs[l] = true
-				f.logs = append(f.logs, l)
-			}
+		if len(f.logs) > 0 {
+			tr.AttachWAL(f.logs[i])
 		}
 		f.shards = append(f.shards, &forestShard{tree: tr})
 	}
-	f.sharedLog = len(f.logs) > 0 && len(f.logs) < len(f.shards)
 	return f, nil
 }
 
@@ -879,9 +882,7 @@ func (f *Forest) update(at vtime.Ticks, e kv.Entry) (vtime.Ticks, error) {
 // are delayed.
 func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// Lock candidates in ascending shard order (deadlock-free against
-	// concurrent group flushes). With a shared log, non-member shards stay
-	// locked too: their enqueue path appends to the same wal.Log the
-	// coordinator is about to force.
+	// concurrent group flushes); non-members are released right away.
 	//
 	// Mid-migration shards are excluded from gang membership: their
 	// virtual locks are pinned by chunk streaming for long stretches (a
@@ -892,33 +893,25 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// fills still flushes — solo.
 	msrc, mdst, mact := f.rpart.Migrating()
 	migrating := func(i int) bool { return mact && (i == msrc || i == mdst) }
-	var group, bystanders []*forestShard
+	var group []*forestShard
 	for i, s := range f.shards {
 		s.mu.Lock()
 		// Quarantined shards never join a flush: their OPQ holds replayed
 		// (already durable) entries and their device may still be failing.
-		// With a shared log they stay locked as bystanders like everyone
-		// else — their tail appends stopped at quarantine time.
 		keep := false
 		if i == trigger {
 			keep = !s.quarantined && s.tree.opq.Len() > 0
 		} else if !migrating(i) && !migrating(trigger) {
 			keep = !s.quarantined && s.ripe(f.ripeFrac)
 		}
-		switch {
-		case keep:
+		if keep {
 			group = append(group, s)
-		case f.sharedLog:
-			bystanders = append(bystanders, s)
-		default:
+		} else {
 			s.mu.Unlock()
 		}
 	}
 	unlock := func() {
 		for _, s := range group {
-			s.mu.Unlock()
-		}
-		for _, s := range bystanders {
 			s.mu.Unlock()
 		}
 	}
@@ -959,7 +952,7 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// rollback replays run after phase 2, when this round's durable log
 	// is as complete as it will get. flushed marks members whose data
 	// made it through every phase (their durable meta advances).
-	quar := make(map[*forestShard]error)
+	quar := make(map[*Tree]error)
 	flushed := make([]bool, len(group))
 	for gi, s := range group {
 		start := s.vlock.Acquire(at)
@@ -985,7 +978,7 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 			// that already flushed still commit: their deferred writes must
 			// reach the device.
 			if IsIOFault(err) && s.tree.log != nil {
-				quar[s] = err
+				quar[s.tree] = err
 				gang.drop(s.tree.pf)
 			} else {
 				flushErr = err
@@ -1002,7 +995,7 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// deferred writes.
 	prepared := true
 	if len(lg.order) > 0 {
-		done, err := f.forceLogs(front, lg.order)
+		done, err := f.forceLogs(front, lg.logs(nil))
 		if err != nil {
 			if IsIOFault(err) {
 				// Attribute the failure: forceLogs commits every member whose
@@ -1015,8 +1008,8 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 				anyForced := false
 				for gi, s := range group[:acquired] {
 					if s.tree.log != nil && s.tree.log.Unforced() {
-						if _, ok := quar[s]; !ok {
-							quar[s] = err
+						if _, ok := quar[s.tree]; !ok {
+							quar[s.tree] = err
 						}
 						gang.drop(s.tree.pf)
 						flushed[gi] = false
@@ -1051,8 +1044,8 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 		// their data on the device.
 		for gi, s := range group[:acquired] {
 			if e, ok := failed[s.tree.pf]; ok {
-				if _, ok2 := quar[s]; !ok2 {
-					quar[s] = e
+				if _, ok2 := quar[s.tree]; !ok2 {
+					quar[s.tree] = e
 				}
 				flushed[gi] = false
 			}
@@ -1066,36 +1059,19 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// FlushEnd would lose it. A crash or error between the phases leaves
 	// FlushStart without FlushEnd, which recovery undoes.
 	if prepared && len(lg.ends) > 0 {
-		quarRel := make(map[uint32]bool, len(quar))
-		for s := range quar {
-			quarRel[s.tree.cfg.Relation] = true
-		}
 		appended := false
 		for _, e := range lg.ends {
-			if quarRel[e.rec.Relation] {
+			if _, ok := quar[e.t]; ok {
 				continue
 			}
-			e.log.Append(e.rec)
+			e.t.log.Append(e.rec)
 			appended = true
 		}
 		if appended {
 			// Force only the logs survivors still append to: a quarantined
 			// member's log (dead device, withheld end) would burn the whole
-			// retry budget again for records phase 1 already gave up on. A
-			// log shared with a surviving member stays in the force set.
-			liveLogs := make(map[*wal.Log]bool, acquired)
-			for _, s := range group[:acquired] {
-				if _, ok := quar[s]; !ok && s.tree.log != nil {
-					liveLogs[s.tree.log] = true
-				}
-			}
-			live := make([]*wal.Log, 0, len(lg.order))
-			for _, l := range lg.order {
-				if liveLogs[l] {
-					live = append(live, l)
-				}
-			}
-			done2, err2 := f.forceLogs(done, live)
+			// retry budget again for records phase 1 already gave up on.
+			done2, err2 := f.forceLogs(done, lg.logs(quar))
 			if err2 != nil {
 				if IsIOFault(err2) {
 					// A survivor's memory says flushed, but its FlushEnd is
@@ -1104,8 +1080,8 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 					// state the log actually describes.
 					for gi, s := range group[:acquired] {
 						if flushed[gi] && s.tree.log != nil && s.tree.log.Unforced() {
-							if _, ok := quar[s]; !ok {
-								quar[s] = err2
+							if _, ok := quar[s.tree]; !ok {
+								quar[s.tree] = err2
 							}
 							flushed[gi] = false
 						}
@@ -1138,7 +1114,7 @@ func (f *Forest) flushGroup(at vtime.Ticks, trigger int) (vtime.Ticks, error) {
 	// clock while their flush locks are still held (readers wait for the
 	// rollback exactly as they would for the flush).
 	for _, s := range group[:acquired] {
-		if e, ok := quar[s]; ok {
+		if e, ok := quar[s.tree]; ok {
 			done = f.quarantineShard(done, s, e)
 		}
 	}
@@ -1284,34 +1260,18 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 	// race a chunk's log appends.
 	f.migMu.RLock()
 	defer f.migMu.RUnlock()
-	// With a shared log, every shard lock is held for the whole
-	// checkpoint (the same discipline as the group-flush coordinator) so
-	// the ganged force cannot interleave a group commit in progress. With
-	// per-shard logs the drain proceeds one shard at a time, as before:
-	// the final ganged force is safe without shard locks because each
-	// wal.Log serializes its force operations internally.
-	if f.sharedLog {
-		for _, s := range f.shards {
-			s.mu.Lock()
-		}
-		defer func() {
-			for _, s := range f.shards {
-				s.mu.Unlock()
-			}
-		}()
-	}
+	// The drain proceeds one shard at a time; the final ganged force needs
+	// no shard locks because each wal.Log serializes its force operations
+	// internally.
 	done := at
 	lg := newLogGang()
-	// cut tracks, per log, the LSN of this round's first checkpoint
-	// record: once the round is durable, everything before it is dead for
-	// recovery (each shard's replay starts at its last checkpoint).
+	// cut tracks, per log, the LSN of this round's checkpoint record: once
+	// the round is durable, everything before it is dead for recovery
+	// (each shard's replay starts at its last checkpoint).
 	cut := make(map[*wal.Log]uint64)
 	anyQuarantined := false
 	for si, s := range f.shards {
-		if !f.sharedLog {
-			s.mu.Lock()
-		}
-		//lint:ignore guardedby s.mu held above unless sharedLog, whose single-owner discipline serializes shard access
+		s.mu.Lock()
 		if s.quarantined {
 			// A quarantined shard cannot drain (its device may still be
 			// failing) and logs no checkpoint record: its replay cursor
@@ -1323,24 +1283,17 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 			if !f.rpart.IsEvacuated(si) {
 				anyQuarantined = true
 			}
-			if !f.sharedLog {
-				s.mu.Unlock()
-			}
+			s.mu.Unlock()
 			continue
 		}
 		start := s.vlock.Acquire(at)
 		d, err := s.tree.drain(start)
 		if err == nil && s.tree.log != nil {
-			lsn := s.tree.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
-			if _, ok := cut[s.tree.log]; !ok {
-				cut[s.tree.log] = lsn
-			}
-			lg.need(s.tree.log)
+			cut[s.tree.log] = s.tree.log.Append(wal.Record{Kind: wal.KindCheckpoint, Relation: s.tree.cfg.Relation})
+			lg.need(s.tree)
 		}
 		s.vlock.Release(d)
-		if !f.sharedLog {
-			s.mu.Unlock()
-		}
+		s.mu.Unlock()
 		if err != nil {
 			return d, err
 		}
@@ -1354,10 +1307,10 @@ func (f *Forest) Checkpoint(at vtime.Ticks) (vtime.Ticks, error) {
 			Kind:     wal.KindRoutingSnapshot,
 			UndoInfo: encodeRoutingMeta(f.rpart.RoutingSnapshot()),
 		})
-		lg.need(f.logs[0])
+		lg.need(f.shards[0].tree)
 	}
 	if len(lg.order) > 0 {
-		d, err := f.forceLogs(done, lg.order)
+		d, err := f.forceLogs(done, lg.logs(nil))
 		if err != nil {
 			return d, err
 		}
@@ -1390,39 +1343,17 @@ func (f *Forest) Sync(at vtime.Ticks) (vtime.Ticks, error) {
 	if len(f.logs) == 0 {
 		return at, nil
 	}
-	// A shared log must not be forced mid-group-commit; the shard locks
-	// exclude any coordinator. Per-shard logs need no shard locks: each
-	// wal.Log serializes its force operations internally.
-	if f.sharedLog {
-		for _, s := range f.shards {
-			s.mu.Lock()
-		}
-		defer func() {
-			for _, s := range f.shards {
-				s.mu.Unlock()
-			}
-		}()
-	}
-	// Skip logs that only quarantined shards use: forcing a tail onto a
-	// dead device would fail the whole Sync for healthy shards' sake.
+	// Skip quarantined shards' logs: forcing a tail onto a dead device
+	// would fail the whole Sync for healthy shards' sake. No shard lock is
+	// held across the force: each wal.Log serializes its force operations
+	// internally.
 	logs := make([]*wal.Log, 0, len(f.logs))
-	needed := make(map[*wal.Log]bool, len(f.logs))
-	for _, s := range f.shards {
-		if !f.sharedLog {
-			s.mu.Lock()
-		}
-		//lint:ignore guardedby s.mu held above unless sharedLog, whose single-owner discipline serializes shard access
+	for i, s := range f.shards {
+		s.mu.Lock()
 		if !s.quarantined {
-			needed[s.tree.log] = true
+			logs = append(logs, f.logs[i])
 		}
-		if !f.sharedLog {
-			s.mu.Unlock()
-		}
-	}
-	for _, l := range f.logs {
-		if needed[l] {
-			logs = append(logs, l)
-		}
+		s.mu.Unlock()
 	}
 	if len(logs) == 0 {
 		return at, nil
@@ -1446,39 +1377,16 @@ type ForestRecoveryReport struct {
 	MigrationKeysPurged  int
 }
 
-// Recover replays every shard's WAL per the paper's Section 3.4 (each
-// shard filters the log by its Relation, so both the shared-log and the
-// per-shard-log layouts recover correctly) and returns the aggregated
-// report. Call after Crash (or on a freshly reconstructed forest whose
-// files and logs hold the durable pre-crash state, with RestoreMeta
-// applied).
+// Recover replays every shard's own WAL per the paper's Section 3.4,
+// then rebuilds the routing table, and returns the aggregated report.
+// Call after Crash (or on a freshly reconstructed forest whose files and
+// logs hold the durable pre-crash state, with RestoreMeta applied).
 func (f *Forest) Recover(at vtime.Ticks) (ForestRecoveryReport, vtime.Ticks, error) {
 	rep := ForestRecoveryReport{Shards: make([]RecoveryReport, len(f.shards))}
-	// A shared log is decoded once, not once per shard — and its scan I/O
-	// is charged once, on the vtime clock, like any other read.
-	var shared []wal.Record
-	if f.sharedLog {
-		var err error
-		at, err = f.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
-			var rerr error
-			shared, at, rerr = f.logs[0].RecordsTimed(at)
-			return at, rerr
-		})
-		if err != nil {
-			return rep, at, err
-		}
-	}
 	done := at
 	for i, s := range f.shards {
 		s.mu.Lock()
-		var r RecoveryReport
-		var d vtime.Ticks
-		var err error
-		if shared != nil {
-			r, d, err = s.tree.recoverFrom(at, shared)
-		} else {
-			r, d, err = s.tree.Recover(at)
-		}
+		r, d, err := s.tree.Recover(at)
 		if err == nil {
 			// A successful replay supersedes any quarantine: the shard is
 			// re-admitted in exactly the durable state, with a fresh

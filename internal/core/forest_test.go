@@ -339,8 +339,8 @@ func TestForestRejectsBadRangeBounds(t *testing.T) {
 	}
 }
 
-// TestForestRejectsBadLogs: the WAL attachment must be none, one shared
-// log, or exactly one per shard — and never nil entries.
+// TestForestRejectsBadLogs: the WAL attachment must be none or exactly
+// one distinct log per shard — never nil entries, never a log shared.
 func TestForestRejectsBadLogs(t *testing.T) {
 	cfg := forestCfg()
 	dev := flashsim.MustDevice(flashsim.P300())
@@ -361,9 +361,17 @@ func TestForestRejectsBadLogs(t *testing.T) {
 	if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: []*wal.Log{l, nil, l}}); err == nil {
 		t.Fatal("accepted nil log entry")
 	}
-	// One shared log multiplexed by Relation is valid.
-	if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: []*wal.Log{l}}); err != nil {
-		t.Fatalf("shared log rejected: %v", err)
+	wf2, _ := space.Create("wal2", 1<<20)
+	l2, err := wal.NewLog(wf2, cfg.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: []*wal.Log{l, l2, l}}); err == nil {
+		t.Fatal("accepted one log for two shards")
+	}
+	// One log for a 3-shard forest is no longer a valid layout.
+	if _, err := NewForest(pfs, ForestConfig{Shard: cfg, Logs: []*wal.Log{l}}); err == nil {
+		t.Fatal("accepted 1 log for 3 shards")
 	}
 }
 

@@ -313,27 +313,89 @@ func validateRules(rules []MoveRule, slots int) error {
 // ^uint64(0) itself is never migrated (half-open ranges throughout).
 const MaxMigrationKey = ^kv.Key(0)
 
+// move is the WAL identity of one key-range move: its id, range and
+// shard pair. An evacuation (evac) moves a quarantined shard's range off
+// a device that may never accept another write, so its source is never
+// written: no deletes, no forces, no records.
+type move struct {
+	id       uint64
+	lo, hi   kv.Key
+	src, dst int
+	evac     bool
+}
+
+// participants returns the shards whose logs carry the move's Start and
+// End records: {src, dst} for a migration, {dst} for an evacuation. The
+// first participant's log also carries the KeyMoved frontier records —
+// for a migration the source's, ahead of the deletes they cover.
+func (mv *move) participants() []int {
+	if mv.evac {
+		return []int{mv.dst}
+	}
+	return []int{mv.src, mv.dst}
+}
+
+// startOp and commitOp are the Op bytes of the move's MigrationStart and
+// committing MigrationEnd records; recovery tells an evacuation by them.
+func (mv *move) startOp() byte {
+	if mv.evac {
+		return 'e'
+	}
+	return 0
+}
+
+func (mv *move) commitOp() byte {
+	if mv.evac {
+		return 'e'
+	}
+	return 'c'
+}
+
+// appendMove appends one protocol record of mv — kind, Op byte op, key
+// range [lo, hi) — to the log of each listed participant. A forest
+// without WALs logs nothing.
+func (f *Forest) appendMove(mv *move, parts []int, kind wal.Kind, op byte, lo, hi kv.Key) {
+	for _, si := range parts {
+		if t := f.shards[si].tree; t.log != nil {
+			t.log.Append(wal.Record{
+				Kind: kind, Relation: t.cfg.Relation, FlushID: mv.id,
+				KeyLo: lo, KeyHi: hi, Key: uint64(mv.src), Value: uint64(mv.dst), Op: wal.OpType(op),
+			})
+		}
+	}
+}
+
+// logMove appends a protocol record of mv to every participant's log and
+// makes those logs durable through the same ganged force as the flush
+// coordinator's group commit.
+func (f *Forest) logMove(at vtime.Ticks, mv *move, kind wal.Kind, op byte, lo, hi kv.Key) (vtime.Ticks, error) {
+	if len(f.logs) == 0 {
+		return at, nil
+	}
+	parts := mv.participants()
+	f.appendMove(mv, parts, kind, op, lo, hi)
+	logs := make([]*wal.Log, len(parts))
+	for i, si := range parts {
+		logs[i] = f.logs[si]
+	}
+	return f.forceLogs(at, logs)
+}
+
 // Migration is one in-flight key-range move between two live shards.
 // Obtain one with Forest.StartMigration and drive it with Step — each
 // step moves one bounded chunk, so the caller chooses the interleaving
 // with foreground traffic. SplitShard and MergeShards drive a migration
-// to completion in one call.
+// to completion in one call. Quarantine evacuations run through the same
+// type.
 type Migration struct {
-	f        *Forest
-	id       uint64
-	lo, hi   kv.Key
-	src, dst int
+	f *Forest
+	move
 	// bounds are the planned chunk boundaries: chunk i covers
 	// [bounds[i], bounds[i+1]).
 	bounds []kv.Key
 	idx    int
 	moved  int64
 	done   bool
-	// evac marks a quarantine evacuation: the source is quarantined by
-	// construction, all migration records ride the destination's log, and
-	// the source side is never written (no deletes, no forces) — its
-	// device may never accept another write.
-	evac bool
 }
 
 // Done reports whether the migration has committed.
@@ -347,18 +409,13 @@ func (m *Migration) Range() (lo, hi kv.Key, src, dst int) {
 	return m.lo, m.hi, m.src, m.dst
 }
 
-// migrationLogs returns the distinct logs of the shard pair (nil entries
-// dropped; one entry when the shards share a log).
-func (f *Forest) migrationLogs(src, dst int) []*wal.Log {
-	var logs []*wal.Log
-	if l := f.shards[src].tree.log; l != nil {
-		logs = append(logs, l)
-	}
-	if l := f.shards[dst].tree.log; l != nil && (len(logs) == 0 || l != logs[0]) {
-		logs = append(logs, l)
-	}
-	return logs
-}
+// errMoveInFlight refuses a second move: the routing table carries at
+// most one in-flight migration.
+var errMoveInFlight = errors.New("core: a migration is already in flight")
+
+// errEvacuationMoot reports an evacuation whose source healed (or lost
+// its coherent state) since the evacuator picked it.
+var errEvacuationMoot = errors.New("core: evacuation source no longer due")
 
 // StartMigration begins moving the keys of [lo, hi) that currently route
 // to shard src onto shard dst. It plans the chunk schedule from a timed
@@ -379,125 +436,119 @@ func (f *Forest) StartMigration(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*M
 	if hi <= lo {
 		return nil, at, fmt.Errorf("core: migration range [%d, %d) is empty", lo, hi)
 	}
-	for _, si := range []int{src, dst} {
+	return f.startMove(at, move{lo: lo, hi: hi, src: src, dst: dst})
+}
+
+// readyFor checks shard si's side of a move's precondition: an
+// evacuation's source must be quarantined with a coherent state to
+// stream, every other participant healthy. Caller holds s.mu.
+func (s *forestShard) readyFor(si int, evacSource bool) error {
+	if evacSource {
+		if !s.quarantined || s.qDirty {
+			return errEvacuationMoot
+		}
+		return nil
+	}
+	if s.quarantined {
+		// A quarantined shard can neither stream chunks nor absorb copies;
+		// Heal it first.
+		return shardQuarantinedErr(si, s.qErr)
+	}
+	return nil
+}
+
+// startMove is the one start of migrations and evacuations. Under migMu
+// and both shard locks it checks the precondition, claims the single
+// in-flight slot, plans the chunk schedule, makes the MigrationStart
+// record durable on every participant's log, and publishes the move into
+// the routing table with frontier = lo.
+func (f *Forest) startMove(at vtime.Ticks, mv move) (m *Migration, done vtime.Ticks, err error) {
+	f.migMu.Lock()
+	defer f.migMu.Unlock()
+	// Both shards are locked, in ascending index order (the lockPair
+	// discipline), and each checks its side of the precondition under its
+	// lock. The locks are held to the end: the start-record force below may
+	// have to quarantine a participant whose log device fails the gang.
+	pair := []int{mv.src, mv.dst}
+	if mv.dst < mv.src {
+		pair[0], pair[1] = mv.dst, mv.src
+	}
+	for _, si := range pair {
 		s := f.shards[si]
 		s.mu.Lock()
-		q, qe := s.quarantined, s.qErr
-		s.mu.Unlock()
-		if q {
-			// A quarantined shard can neither stream chunks nor absorb
-			// copies; Heal it first.
-			return nil, at, shardQuarantinedErr(si, qe)
+		defer s.mu.Unlock()
+		if err := s.readyFor(si, mv.evac && si == mv.src); err != nil {
+			return nil, at, err
 		}
 	}
 	if !f.rebalanceActive.CompareAndSwap(false, true) {
-		return nil, at, fmt.Errorf("core: a migration is already in flight")
+		return nil, at, errMoveInFlight
 	}
-	m, done, err := f.startMigrationLocked(at, lo, hi, src, dst)
-	if err != nil {
-		f.rebalanceActive.Store(false)
-		return nil, done, err
-	}
-	return m, done, nil
-}
-
-func (f *Forest) startMigrationLocked(at vtime.Ticks, lo, hi kv.Key, src, dst int) (*Migration, vtime.Ticks, error) {
-	f.migMu.Lock()
-	defer f.migMu.Unlock()
-	// Both shards are locked (ascending index order, the same discipline
-	// as lockPair): the start-record force below may have to quarantine
-	// the destination when its log device fails the gang.
-	plo, phi := src, dst
-	if plo > phi {
-		plo, phi = phi, plo
-	}
-	f.shards[plo].mu.Lock()
-	defer f.shards[plo].mu.Unlock()
-	f.shards[phi].mu.Lock()
-	defer f.shards[phi].mu.Unlock()
-	s := f.shards[src]
+	defer func() {
+		if m == nil {
+			f.rebalanceActive.Store(false)
+		}
+	}()
+	s := f.shards[mv.src]
 
 	// Plan the chunk schedule: a timed scan of the source range yields the
 	// key population; every chunk-th key becomes a boundary. Keys inserted
 	// mid-migration fall inside an existing chunk range and are picked up
-	// when that chunk streams.
+	// when that chunk streams. An evacuation scans the committed state the
+	// quarantine rollback left behind.
 	start := s.vlock.Acquire(at)
-	recs, done, err := s.tree.RangeSearch(start, lo, hi)
+	defer func() { s.vlock.Release(done) }()
+	var recs []kv.Record
+	recs, done, err = s.tree.RangeSearch(start, mv.lo, mv.hi)
 	if err != nil {
-		s.vlock.Release(done)
 		return nil, done, err
 	}
-	chunk := f.migChunk
-	bounds := []kv.Key{lo}
-	for i := chunk; i < len(recs); i += chunk {
-		if k := recs[i].Key; k > bounds[len(bounds)-1] && k < hi {
+	bounds := []kv.Key{mv.lo}
+	for i := f.migChunk; i < len(recs); i += f.migChunk {
+		if k := recs[i].Key; k > bounds[len(bounds)-1] && k < mv.hi {
 			bounds = append(bounds, k)
 		}
 	}
-	bounds = append(bounds, hi)
+	bounds = append(bounds, mv.hi)
 
-	m := &Migration{f: f, id: f.nextMigrationID(), lo: lo, hi: hi, src: src, dst: dst, bounds: bounds}
-	if logs := f.migrationLogs(src, dst); len(logs) > 0 {
-		for _, si := range []int{src, dst} {
-			if l := f.shards[si].tree.log; l != nil {
-				l.Append(wal.Record{
-					Kind: wal.KindMigrationStart, Relation: f.shards[si].tree.cfg.Relation,
-					FlushID: m.id, KeyLo: lo, KeyHi: hi, Key: uint64(src), Value: uint64(dst),
-				})
-			}
-		}
-		// The start record commits through the same ganged force as the
-		// flush coordinator's group commit.
-		done, err = f.forceLogs(done, logs)
-		if err != nil {
-			if IsIOFault(err) {
-				// Contain like the flush coordinator's phase 1: a member
-				// whose log still holds an unforced tail is exactly a member
-				// whose start record is not durable — its device is failing.
-				// Quarantine it (the rollback drops the stranded append),
-				// close the never-published migration with abort records,
-				// and surface the refusal as a quarantine, not a raw fault.
-				failing := -1
-				for _, si := range []int{src, dst} {
-					sh := f.shards[si]
-					if sh.tree.log != nil && sh.tree.log.Unforced() {
-						done = f.quarantineShard(done, sh, err)
-						if failing < 0 {
-							failing = si
-						}
-					}
-				}
-				if failing >= 0 && f.damaged.Load() == nil {
-					for _, si := range []int{src, dst} {
-						if l := f.shards[si].tree.log; l != nil {
-							l.Append(wal.Record{
-								Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-								FlushID: m.id, KeyLo: lo, KeyHi: hi,
-								Key: uint64(src), Value: uint64(dst), Op: wal.OpType('a'),
-							})
-						}
-					}
-					if d, ferr := f.forceLogs(done, logs); ferr == nil {
-						done = d
-					}
-					// A failed force is fine: the Ends stay in the tails and
-					// either a Heal forces them or crash recovery rolls the
-					// open migration back — the routing was never touched.
-					f.migrationAborts.Add(1)
-					s.vlock.Release(done)
-					return nil, done, shardQuarantinedErr(failing, err)
-				}
-			}
-			s.vlock.Release(done)
+	mv.id = f.nextMigrationID()
+	done, err = f.logMove(done, &mv, wal.KindMigrationStart, mv.startOp(), mv.lo, mv.hi)
+	if err != nil {
+		if !IsIOFault(err) {
 			return nil, done, err
 		}
+		// Contain like the flush coordinator's phase 1: a participant whose
+		// log still holds an unforced tail is exactly one whose start
+		// record is not durable — its device is failing. Quarantine it,
+		// close the never-published move with abort records behind the
+		// stranded start, and surface the refusal as a quarantine, not a
+		// raw fault.
+		failing := -1
+		for _, si := range mv.participants() {
+			if sh := f.shards[si]; sh.tree.log.Unforced() {
+				done = f.quarantineShard(done, sh, err)
+				if failing < 0 {
+					failing = si
+				}
+			}
+		}
+		if failing < 0 || f.damaged.Load() != nil {
+			return nil, done, err
+		}
+		// A failed force is fine: the Ends stay in the tails and either a
+		// Heal forces them or crash recovery rolls the open move back — the
+		// routing was never touched.
+		if d, ferr := f.logMove(done, &mv, wal.KindMigrationEnd, 'a', mv.lo, mv.hi); ferr == nil {
+			done = d
+		}
+		f.migrationAborts.Add(1)
+		return nil, done, shardQuarantinedErr(failing, err)
 	}
 	rt := f.rpart.cur.Load()
 	next := *rt
-	next.mig = &migRoute{id: m.id, lo: lo, hi: hi, src: src, dst: dst, frontier: lo}
+	next.mig = &migRoute{id: mv.id, lo: mv.lo, hi: mv.hi, src: mv.src, dst: mv.dst, frontier: mv.lo}
 	f.rpart.publish(next)
-	s.vlock.Release(done)
-	return m, done, nil
+	return &Migration{f: f, move: mv, bounds: bounds}, done, nil
 }
 
 // nextMigrationID hands out forest-unique migration ids above everything
@@ -537,7 +588,7 @@ func (m *Migration) Step(at vtime.Ticks) (bool, vtime.Ticks, error) {
 		m.idx++
 		return false, done, nil
 	}
-	done, err := f.commitMigration(at, m)
+	done, err := f.commitMove(at, m)
 	if err != nil {
 		return false, done, err
 	}
@@ -592,7 +643,7 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	// aborts one-sided: only the destination just failed); non-I/O errors
 	// keep escalating to the forest damaged mark.
 	fail := func(now vtime.Ticks, recs []kv.Record, undoSrc bool, err error) (vtime.Ticks, error) {
-		if IsIOFault(err) && len(f.migrationLogs(m.src, m.dst)) > 0 {
+		if IsIOFault(err) && len(f.logs) > 0 {
 			if m.evac {
 				return f.failEvacuation(now, m, recs, err)
 			}
@@ -636,28 +687,18 @@ func (f *Forest) migrateChunk(at vtime.Ticks, m *Migration) (vtime.Ticks, error)
 	// Chunk phase 2: frontier record first, then the source deletes — the
 	// log prefix order then guarantees any durable delete is covered by a
 	// durable KeyMoved (and thus by durable copies). An evacuation's
-	// frontier record rides the DESTINATION's log instead (the source's
-	// device no longer accepts writes) and the source keeps its copies:
-	// the record is appended after the copies' force above, so whenever
-	// it becomes durable (the next chunk's force, or the commit force)
-	// the copies-durable-before-KeyMoved invariant still holds. Recovery
-	// re-streams an un-recorded chunk harmlessly — the resume path purges
-	// destination remnants above the frontier first.
+	// frontier record rides the DESTINATION's log instead (its first and
+	// only participant; the source's device no longer accepts writes) and
+	// the source keeps its copies: the record is appended after the
+	// copies' force above, so whenever it becomes durable (the next
+	// chunk's force, or the commit force) the copies-durable-before-
+	// KeyMoved invariant still holds. Recovery re-streams an un-recorded
+	// chunk harmlessly — the resume path purges destination remnants above
+	// the frontier first.
+	f.appendMove(&m.move, m.participants()[:1], wal.KindKeyMoved, 0, a, b)
 	if m.evac {
-		if dst.tree.log != nil {
-			dst.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: dst.tree.cfg.Relation,
-				FlushID: m.id, KeyLo: a, KeyHi: b, Key: uint64(m.src), Value: uint64(m.dst),
-			})
-		}
 		f.evacChunks.Add(1)
 	} else {
-		if src.tree.log != nil {
-			src.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: src.tree.cfg.Relation,
-				FlushID: m.id, KeyLo: a, KeyHi: b, Key: uint64(m.src), Value: uint64(m.dst),
-			})
-		}
 		for _, r := range recs {
 			now, err = src.tree.Delete(now, r.Key)
 			if err != nil {
@@ -747,29 +788,17 @@ func (f *Forest) failMigration(at vtime.Ticks, m *Migration, recs []kv.Record, u
 			})
 		}
 	}
-	op := wal.OpType('a')
-	endLo, endHi := m.lo, m.hi
+	op, endHi := byte('a'), m.hi
 	if frontier > m.lo {
-		op, endHi = wal.OpType('c'), frontier
+		op, endHi = 'c', frontier
 	}
-	for _, si := range []int{m.src, m.dst} {
-		if l := f.shards[si].tree.log; l != nil {
-			l.Append(wal.Record{
-				Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-				FlushID: m.id, KeyLo: endLo, KeyHi: endHi,
-				Key: uint64(m.src), Value: uint64(m.dst), Op: op,
-			})
-		}
+	if d, err := f.logMove(done, &m.move, wal.KindMigrationEnd, op, m.lo, endHi); err == nil {
+		done = d
 	}
-	if logs := f.migrationLogs(m.src, m.dst); len(logs) > 0 {
-		if d, err := f.forceLogs(done, logs); err == nil {
-			done = d
-		}
-		// A failed force is fine: the End stays in the tails, the durable
-		// log keeps the migration open at frontier F, and either a Heal
-		// (forces the tails, compensations included) or a crash recovery
-		// (resolves from the durable frontier) converges to this state.
-	}
+	// A failed force is fine: the End stays in the tails, the durable log
+	// keeps the migration open at frontier F, and either a Heal (forces
+	// the tails, compensations included) or a crash recovery (resolves
+	// from the durable frontier) converges to this state.
 	next := *rt
 	next.mig = nil
 	next.maxCommitted = m.id
@@ -785,9 +814,13 @@ func (f *Forest) failMigration(at vtime.Ticks, m *Migration, recs []kv.Record, u
 		m.id, frontier, m.src, m.dst, cause)
 }
 
-// commitMigration makes the routing flip durable (MigrationEnd through
-// the ganged force) and publishes the committed rule.
-func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, error) {
+// commitMove is the one commit of migrations and evacuations: it makes
+// the routing flip durable (MigrationEnd on every participant's log
+// through the ganged force) and publishes the committed rule. An
+// evacuation also publishes the source's evacuated mark: from then on
+// sweeps skip the source's stale physical copies and its quarantine stops
+// blocking log truncation.
+func (f *Forest) commitMove(at vtime.Ticks, m *Migration) (vtime.Ticks, error) {
 	f.migMu.Lock()
 	defer f.migMu.Unlock()
 	unlock := f.lockPair(m.src, m.dst)
@@ -795,35 +828,20 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 	if err := f.checkMigrationLive(m); err != nil {
 		return at, err
 	}
-	if m.evac {
-		return f.commitEvacuation(at, m)
-	}
-	done := at
-	if logs := f.migrationLogs(m.src, m.dst); len(logs) > 0 {
-		for _, si := range []int{m.src, m.dst} {
-			if l := f.shards[si].tree.log; l != nil {
-				l.Append(wal.Record{
-					Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-					FlushID: m.id, KeyLo: m.lo, KeyHi: m.hi,
-					Key: uint64(m.src), Value: uint64(m.dst), Op: wal.OpType('c'),
-				})
-			}
+	done, err := f.logMove(at, &m.move, wal.KindMigrationEnd, m.commitOp(), m.lo, m.hi)
+	if err != nil {
+		if !IsIOFault(err) {
+			f.setDamaged(err)
+			return done, err
 		}
-		var err error
-		done, err = f.forceLogs(done, logs)
-		if err != nil {
-			if !IsIOFault(err) {
-				f.setDamaged(err)
-				return done, err
-			}
-			// Every chunk is durably committed; only the End force failed.
-			// The rule may publish regardless: the Ends stay in the tails
-			// (a Heal forces them; a crash resolves the open migration from
-			// the durable frontier = hi, re-streaming an empty remainder to
-			// the same outcome). The log devices are failing, though —
-			// quarantine the pair.
-			done = f.quarantineShard(done, f.shards[m.src], err)
-			done = f.quarantineShard(done, f.shards[m.dst], err)
+		// Every chunk is durably committed; only the End force failed. The
+		// rule may publish regardless: the Ends stay in the tails (a Heal
+		// forces them; a crash resolves the open move from the durable
+		// frontier = hi, re-streaming an empty remainder to the same
+		// outcome). The participants' log devices are failing, though —
+		// quarantine them.
+		for _, si := range m.participants() {
+			done = f.quarantineShard(done, f.shards[si], err)
 		}
 	}
 	rt := f.rpart.cur.Load()
@@ -832,6 +850,16 @@ func (f *Forest) commitMigration(at vtime.Ticks, m *Migration) (vtime.Ticks, err
 		MoveRule{Lo: m.lo, Hi: m.hi, From: m.src, To: m.dst, ID: m.id})
 	next.maxCommitted = m.id
 	next.mig = nil
+	if m.evac {
+		next.evac |= 1 << uint(m.src)
+		f.evacuations.Add(1)
+		// Keep the source quarantined (flushes, checkpoints and rebalancing
+		// must keep skipping it) but record why, and stop the heal prober —
+		// an evacuated shard has nothing left to re-admit.
+		s := f.shards[m.src]
+		s.qErr = fmt.Errorf("core: shard %d evacuated to shard %d (migration %d)", m.src, m.dst, m.id)
+		s.nextProbeAt, s.probeGap = 0, 0
+	}
 	f.rpart.publish(next)
 	f.migrations.Add(1)
 	f.rebalanceActive.Store(false)
@@ -1091,9 +1119,7 @@ func (f *Forest) drainBudgeted(m *Migration, at, budget vtime.Ticks) (bool, vtim
 // migrationEvent accumulates one migration's durable records during the
 // recovery scan.
 type migrationEvent struct {
-	id       uint64
-	lo, hi   kv.Key
-	src, dst int
+	move
 	started  bool
 	frontier kv.Key
 	end      byte // 'c' committed, 'e' evacuated, 'a' aborted, 0 open
@@ -1101,9 +1127,6 @@ type migrationEvent struct {
 	// the prefix streamed before the fault, so the committed rule must
 	// come from the End record, not the Start record.
 	endLo, endHi kv.Key
-	// evac marks a quarantine evacuation (Start record Op 'e'): records
-	// live only in the destination's log and the source is never written.
-	evac bool
 }
 
 // recoverRouting rebuilds the routing table from the durable log and
@@ -1113,8 +1136,8 @@ type migrationEvent struct {
 // per-shard replay, which has already rebuilt both trees' contents from
 // their redo records.
 func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtime.Ticks, error) {
-	// Scan every distinct log once; dedupe records that land in both the
-	// source and destination logs (or twice in a shared log).
+	// Scan every shard's log once; records that land in both the source
+	// and destination logs merge into one event per migration id.
 	snap := f.rpart.RoutingSnapshot()
 	events := make(map[uint64]*migrationEvent)
 	for _, l := range f.logs {
@@ -1135,7 +1158,7 @@ func (f *Forest) recoverRouting(at vtime.Ticks, rep *ForestRecoveryReport) (vtim
 			case wal.KindMigrationStart, wal.KindKeyMoved, wal.KindMigrationEnd:
 				ev := events[r.FlushID]
 				if ev == nil {
-					ev = &migrationEvent{id: r.FlushID}
+					ev = &migrationEvent{move: move{id: r.FlushID}}
 					events[r.FlushID] = ev
 				}
 				switch r.Kind {
@@ -1291,36 +1314,14 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 		}
 		rep.MigrationKeysPurged++
 	}
-	// Evacuation records ride the destination's log only; a plain
-	// migration logs its end on both sides.
-	logs := f.migrationLogs(ev.src, ev.dst)
-	endShards := []int{ev.src, ev.dst}
-	if ev.evac {
-		endShards = []int{ev.dst}
-		logs = nil
-		if dst.tree.log != nil {
-			logs = []*wal.Log{dst.tree.log}
-		}
-	}
 	if ev.frontier <= ev.lo {
 		// No chunk ever committed: roll the move back entirely. An aborted
 		// evacuation leaves the source live (no evac bit) — if the device
 		// is still dead, the next write re-quarantines it and the
 		// evacuation deadline fires again.
-		for _, si := range endShards {
-			if l := f.shards[si].tree.log; l != nil {
-				l.Append(wal.Record{
-					Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-					FlushID: ev.id, KeyLo: ev.lo, KeyHi: ev.hi,
-					Key: uint64(ev.src), Value: uint64(ev.dst), Op: wal.OpType('a'),
-				})
-			}
-		}
-		if len(logs) > 0 {
-			done, err = f.forceLogs(done, logs)
-			if err != nil {
-				return rules, false, done, err
-			}
+		done, err = f.logMove(done, &ev.move, wal.KindMigrationEnd, 'a', ev.lo, ev.hi)
+		if err != nil {
+			return rules, false, done, err
 		}
 		rep.RolledBackMigrations++
 		return rules, false, done, nil
@@ -1339,27 +1340,15 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 		rep.MigrationKeysMoved++
 	}
 	if dst.tree.log != nil {
-		done, err = dst.tree.log.Force(done)
+		done, err = dst.tree.retryIO(done, dst.tree.log.Force)
 		if err != nil {
 			return rules, false, done, err
 		}
 	}
-	if ev.evac {
-		if dst.tree.log != nil && len(recs) > 0 {
-			dst.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: dst.tree.cfg.Relation,
-				FlushID: ev.id, KeyLo: ev.frontier, KeyHi: ev.hi,
-				Key: uint64(ev.src), Value: uint64(ev.dst),
-			})
-		}
-	} else {
-		if src.tree.log != nil && len(recs) > 0 {
-			src.tree.log.Append(wal.Record{
-				Kind: wal.KindKeyMoved, Relation: src.tree.cfg.Relation,
-				FlushID: ev.id, KeyLo: ev.frontier, KeyHi: ev.hi,
-				Key: uint64(ev.src), Value: uint64(ev.dst),
-			})
-		}
+	if len(recs) > 0 {
+		f.appendMove(&ev.move, ev.participants()[:1], wal.KindKeyMoved, 0, ev.frontier, ev.hi)
+	}
+	if !ev.evac {
 		for _, r := range recs {
 			done, err = src.tree.Delete(done, r.Key)
 			if err != nil {
@@ -1367,24 +1356,9 @@ func (f *Forest) resolveMigration(at vtime.Ticks, ev *migrationEvent, rules []Mo
 			}
 		}
 	}
-	endOp := byte('c')
-	if ev.evac {
-		endOp = 'e'
-	}
-	for _, si := range endShards {
-		if l := f.shards[si].tree.log; l != nil {
-			l.Append(wal.Record{
-				Kind: wal.KindMigrationEnd, Relation: f.shards[si].tree.cfg.Relation,
-				FlushID: ev.id, KeyLo: ev.lo, KeyHi: ev.hi,
-				Key: uint64(ev.src), Value: uint64(ev.dst), Op: wal.OpType(endOp),
-			})
-		}
-	}
-	if len(logs) > 0 {
-		done, err = f.forceLogs(done, logs)
-		if err != nil {
-			return rules, false, done, err
-		}
+	done, err = f.logMove(done, &ev.move, wal.KindMigrationEnd, ev.commitOp(), ev.lo, ev.hi)
+	if err != nil {
+		return rules, false, done, err
 	}
 	rules = append(rules, MoveRule{Lo: ev.lo, Hi: ev.hi, From: ev.src, To: ev.dst, ID: ev.id})
 	rep.ResumedMigrations++

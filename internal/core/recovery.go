@@ -38,36 +38,20 @@ type RecoveryReport struct {
 // taken from meta, which the caller persists separately (the experiments
 // snapshot it; a full DBMS would keep it in the catalog).
 func (t *Tree) Recover(at vtime.Ticks) (RecoveryReport, vtime.Ticks, error) {
+	var rep RecoveryReport
 	if t.log == nil {
-		return RecoveryReport{}, at, fmt.Errorf("core: Recover called without a WAL attached")
+		return rep, at, fmt.Errorf("core: Recover called without a WAL attached")
 	}
-	recs, at, err := t.readDurableRecords(at)
-	if err != nil {
-		return RecoveryReport{}, at, err
-	}
-	return t.recoverFrom(at, recs)
-}
-
-// readDurableRecords scans the durable WAL with the read I/O charged on
-// the vtime clock (recovery used to replay for free), retrying transient
-// faults like any other read.
-func (t *Tree) readDurableRecords(at vtime.Ticks) ([]wal.Record, vtime.Ticks, error) {
+	// Scan the durable log with the read I/O charged on the vtime clock,
+	// retrying transient faults like any other read.
 	var recs []wal.Record
 	at, err := t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
 		var rerr error
 		recs, at, rerr = t.log.RecordsTimed(at)
 		return at, rerr
 	})
-	return recs, at, err
-}
-
-// recoverFrom replays pre-decoded log records. Forest.Recover decodes a
-// shared multiplexed log once and hands every shard the same slice,
-// instead of re-reading and re-CRC-checking the whole log per shard.
-func (t *Tree) recoverFrom(at vtime.Ticks, recs []wal.Record) (RecoveryReport, vtime.Ticks, error) {
-	var rep RecoveryReport
-	if t.log == nil {
-		return rep, at, fmt.Errorf("core: Recover called without a WAL attached")
+	if err != nil {
+		return rep, at, err
 	}
 	// Only this relation's records matter.
 	var mine []wal.Record
@@ -282,8 +266,9 @@ func (t *Tree) CrashVolatileState() {
 
 // dropVolatile discards the tree's volatile state (OPQ, LSMap, pending
 // internal updates, buffer pool) WITHOUT touching the WAL tail. Quarantine
-// rollback uses this: on a shared multiplexed log the unforced tail still
-// holds other shards' appends, so only a real crash may drop it.
+// rollback uses this: a later Heal forces the unforced tail (with any
+// compensation records appended behind it) and replays it, so only a
+// real crash may drop it.
 func (t *Tree) dropVolatile() {
 	if fresh, err := NewOPQ(t.opq.Cap(), t.cfg.SPeriod); err == nil {
 		t.opq = fresh
@@ -309,10 +294,6 @@ func (t *Tree) rollbackToDurable(at vtime.Ticks) (vtime.Ticks, error) {
 	}
 	t.RestoreMeta(t.durableMeta)
 	t.dropVolatile()
-	recs, at, err := t.readDurableRecords(at)
-	if err != nil {
-		return at, err
-	}
-	_, at, err = t.recoverFrom(at, recs)
+	_, at, err := t.Recover(at)
 	return at, err
 }

@@ -237,7 +237,7 @@ func (t *Tree) OPQPages() int { return t.cfg.OPQPages }
 // (pendingReq takes it wholesale), preserving WAL protocol order.
 func (t *Tree) forceWAL(at vtime.Ticks) (vtime.Ticks, error) {
 	if t.walGang != nil {
-		t.walGang.need(t.log)
+		t.walGang.need(t)
 		return at, nil
 	}
 	return t.retryIO(at, t.log.Force)

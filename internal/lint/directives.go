@@ -1,19 +1,33 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"strings"
 )
 
-// ignoreSet maps file -> line -> analyzer names suppressed at that line.
-type ignoreSet map[string]map[int]map[string]bool
+// ignoreDirective is one //lint:ignore comment of a package.
+type ignoreDirective struct {
+	pos      token.Position
+	analyzer string
+	// used records that the directive suppressed at least one diagnostic.
+	used bool
+}
+
+// ignoreSet holds a package's //lint:ignore directives, indexed by the
+// file and lines each one covers.
+type ignoreSet struct {
+	all   []*ignoreDirective
+	lines map[string]map[int][]*ignoreDirective
+}
 
 // collectIgnores gathers every //lint:ignore directive of the package. A
 // directive suppresses matching diagnostics on its own line and on the
 // line directly below it (the staticcheck convention: the directive sits
 // right above, or at the end of, the offending line).
-func collectIgnores(pkg *Package) ignoreSet {
-	set := make(ignoreSet)
+func collectIgnores(pkg *Package) *ignoreSet {
+	set := &ignoreSet{lines: make(map[string]map[int][]*ignoreDirective)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -21,17 +35,15 @@ func collectIgnores(pkg *Package) ignoreSet {
 				if !ok {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				lines := set[pos.Filename]
+				d := &ignoreDirective{pos: pkg.Fset.Position(c.Pos()), analyzer: name}
+				set.all = append(set.all, d)
+				lines := set.lines[d.pos.Filename]
 				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					set[pos.Filename] = lines
+					lines = make(map[int][]*ignoreDirective)
+					set.lines[d.pos.Filename] = lines
 				}
-				for _, ln := range []int{pos.Line, pos.Line + 1} {
-					if lines[ln] == nil {
-						lines[ln] = make(map[string]bool)
-					}
-					lines[ln][name] = true
+				for _, ln := range []int{d.pos.Line, d.pos.Line + 1} {
+					lines[ln] = append(lines[ln], d)
 				}
 			}
 		}
@@ -54,12 +66,34 @@ func parseIgnore(text string) (analyzer string, ok bool) {
 	return fields[0], true
 }
 
-func (s ignoreSet) suppresses(d Diagnostic) bool {
-	lines := s[d.Pos.Filename]
-	if lines == nil {
-		return false
+// suppresses reports whether a directive covers d, marking every
+// covering directive used.
+func (s *ignoreSet) suppresses(d Diagnostic) bool {
+	hit := false
+	for _, dir := range s.lines[d.Pos.Filename][d.Pos.Line] {
+		if dir.analyzer == d.Analyzer {
+			dir.used = true
+			hit = true
+		}
 	}
-	return lines[d.Pos.Line][d.Analyzer]
+	return hit
+}
+
+// stale reports the directives naming an analyzer that ran (ran[name])
+// yet matched no diagnostic on their line or the next. Directives for
+// analyzers left out of this run are skipped.
+func (s *ignoreSet) stale(ran map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range s.all {
+		if ran[d.analyzer] && !d.used {
+			out = append(out, Diagnostic{
+				Pos:      d.pos,
+				Analyzer: StaleIgnore,
+				Message:  fmt.Sprintf("stale //lint:ignore %s: no %s diagnostic on this line or the next", d.analyzer, d.analyzer),
+			})
+		}
+	}
+	return out
 }
 
 // parseLockOrder recognizes a lock-hierarchy declaration

@@ -20,6 +20,9 @@
 // doc comment:
 //
 //	//lint:holds <field>
+//
+// A //lint:ignore directive that suppresses nothing is itself reported
+// (see StaleIgnore), so suppressions cannot outlive the code they excused.
 package lint
 
 import (
@@ -80,16 +83,26 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// StaleIgnore is the analyzer name on diagnostics for //lint:ignore
+// directives that suppress nothing: the named analyzer ran on the
+// package but reported nothing on the directive's line or the next. It
+// is not an Analyzer itself — RunAnalyzers derives it from the others'
+// findings — so no directive can silence it.
+const StaleIgnore = "staleignore"
+
 // All is the full analyzer suite in the order piolint runs it.
 var All = []*Analyzer{GuardedBy, WALOrder, Determinism, SnapshotMut, LockOrder, IOErr}
 
 // RunAnalyzers executes the analyzers over pkg — with prog supplying the
 // whole-program context the interprocedural analyzers need — and returns
 // their findings, with //lint:ignore-suppressed diagnostics already
-// filtered out and the rest sorted by position.
+// filtered out, stale directives reported, and the rest sorted by
+// position.
 func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -111,6 +124,7 @@ func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnos
 			kept = append(kept, d)
 		}
 	}
+	kept = append(kept, ignores.stale(ran)...)
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i].Pos, kept[j].Pos
 		if a.Filename != b.Filename {

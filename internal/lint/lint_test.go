@@ -112,6 +112,13 @@ func TestLockOrderCycleInjection(t *testing.T) {
 	testFixture(t, LockOrder, "repro/internal/lint/testdata/src/lockordercycle")
 }
 
+// TestStaleIgnore runs guardedby over a fixture whose //lint:ignore
+// directives are used, stale, and for an analyzer left out of the run:
+// only the stale one is reported.
+func TestStaleIgnore(t *testing.T) {
+	testFixture(t, GuardedBy, "repro/internal/lint/testdata/src/staleignore")
+}
+
 // TestRepoIsClean is the in-process form of the CI gate: the full
 // analyzer suite over the production packages must report nothing.
 func TestRepoIsClean(t *testing.T) {

@@ -211,11 +211,13 @@ func unmarshal(b []byte) (Record, int, error) {
 // an in-memory tail; Force makes them durable with sequential writes.
 //
 // An internal mutex serializes every method — Force and ForceGroup hold
-// it across the simulated device write — so a forest's shards may
-// multiplex one shared log and appends may race forces (an append lands
-// wholly before or wholly after any force). Concurrent ForceGroup calls
-// whose log sets overlap must acquire them in a consistent order (the
-// forest coordinator always passes logs in ascending shard order).
+// it across the simulated device write — so appends may race forces (an
+// append lands wholly before or wholly after any force) and a forest may
+// force its shards' logs without holding their shard locks. Records carry
+// a Relation, but the forest gives every shard a log of its own.
+// Concurrent ForceGroup calls whose log sets overlap must acquire them in
+// a consistent order (the forest's group flush, Checkpoint and Sync pass
+// logs in ascending shard order).
 type Log struct {
 	f        *ssdio.File
 	pageSize int
