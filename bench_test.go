@@ -200,9 +200,10 @@ func BenchmarkAblationPsync(b *testing.B) {
 	}
 }
 
-// BenchmarkPointSearch measures the simulated cost of one PIO point search
-// on a bulk-loaded tree (microbenchmark of the public API).
-func BenchmarkPointSearch(b *testing.B) {
+// loadedIndex opens a default-options index on a P300 and bulk-loads
+// 100k records with even keys 0..199998.
+func loadedIndex(b *testing.B) *Index {
+	b.Helper()
 	dev := NewDevice(P300)
 	idx, err := Open(dev, DefaultOptions())
 	if err != nil {
@@ -215,12 +216,75 @@ func BenchmarkPointSearch(b *testing.B) {
 	if err := idx.BulkLoad(recs); err != nil {
 		b.Fatal(err)
 	}
+	return idx
+}
+
+// BenchmarkPointSearch measures one PIO point search on a loaded index:
+// simulated cost as sim_µs/op, host cost as ns/op and allocs/op.
+func BenchmarkPointSearch(b *testing.B) {
+	idx := loadedIndex(b)
 	var clock Clock
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, done, err := idx.Search(clock.Now(), uint64(i%100000)*2)
 		if err != nil {
 			b.Fatal(err)
+		}
+		clock.Advance(done)
+	}
+	b.ReportMetric(clock.Elapsed()/float64(b.N)*1e6, "sim_µs/op")
+}
+
+// BenchmarkRangeSearch measures one prange search over 300 keys (150
+// records across a few leaves) on a loaded index. Every 50th key is
+// updated first, so leaves carry appended tails and the OPQ holds entries
+// to overlay, as on a live index.
+func BenchmarkRangeSearch(b *testing.B) {
+	idx := loadedIndex(b)
+	var clock Clock
+	for k := uint64(0); k < 200000; k += 100 {
+		done, err := idx.Update(clock.Now(), Record{Key: k, Value: k})
+		if err != nil {
+			b.Fatal(err)
+		}
+		clock.Advance(done)
+	}
+	start := clock.Elapsed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := uint64(i%660) * 300
+		recs, done, err := idx.RangeSearch(clock.Now(), lo, lo+300)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) != 150 {
+			b.Fatalf("range [%d,%d): %d records, want 150", lo, lo+300, len(recs))
+		}
+		clock.Advance(done)
+	}
+	b.ReportMetric((clock.Elapsed()-start)/float64(b.N)*1e6, "sim_µs/op")
+}
+
+// BenchmarkSearchMany measures one MPSearch of 64 keys spread over the
+// whole key space on a loaded index.
+func BenchmarkSearchMany(b *testing.B) {
+	idx := loadedIndex(b)
+	var clock Clock
+	keys := make([]Key, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range keys {
+			keys[j] = uint64((i+j*1571)%100000) * 2
+		}
+		found, done, err := idx.SearchMany(clock.Now(), keys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(found) != len(keys) {
+			b.Fatalf("found %d of %d keys", len(found), len(keys))
 		}
 		clock.Advance(done)
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/kv"
 	"repro/internal/pagefile"
@@ -72,147 +72,109 @@ func (t *Tree) psyncWritePages(at vtime.Ticks, ids []pagefile.PageID, bufs [][]b
 	})
 }
 
-// readInternalBatch fetches a set of internal nodes: buffered nodes come
-// from the pool, misses are read with one psync call and inserted clean.
-func (t *Tree) readInternalBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefile.PageID]*internalNode, vtime.Ticks, error) {
-	out := make(map[pagefile.PageID]*internalNode, len(ids))
-	var missIDs []pagefile.PageID
-	var missBufs [][]byte
-	for _, id := range ids {
-		if _, done := out[id]; done {
-			continue
-		}
-		if t.pool.Contains(id) {
-			data, at2, err := t.poolGet(at, id)
-			if err != nil {
-				return nil, at2, err
-			}
-			at = at2
-			n, err := decodeInternal(id, data)
-			if err != nil {
-				return nil, at, err
-			}
-			out[id] = n
-			continue
-		}
-		missIDs = append(missIDs, id)
-		missBufs = append(missBufs, make([]byte, t.cfg.PageSize))
-	}
-	// Read misses PioMax at a time.
-	pm := t.cfg.pioMax()
-	var err error
-	for i := 0; i < len(missIDs); i += pm {
-		end := i + pm
-		if end > len(missIDs) {
-			end = len(missIDs)
-		}
-		at, err = t.psyncReadPages(at, missIDs[i:end], missBufs[i:end])
-		if err != nil {
-			return nil, at, err
-		}
-	}
-	for i, id := range missIDs {
-		n, err := decodeInternal(id, missBufs[i])
-		if err != nil {
-			return nil, at, err
-		}
-		out[id] = n
-		t.pool.InsertClean(id, missBufs[i])
-	}
-	at += vtime.Ticks(len(ids)) * t.cfg.CPUPerNode
-	return out, at, nil
+// readInternalBatch fetches a set of distinct internal nodes as page
+// views aligned with ids: buffered nodes come from the pool, misses are
+// read with one psync call per PioMax pages and inserted clean.
+func (t *Tree) readInternalBatch(at vtime.Ticks, ids []pagefile.PageID) ([]internalPage, vtime.Ticks, error) {
+	out := make([]internalPage, len(ids))
+	at, err := t.readPooled(at, ids, func(i int, data []byte) (err error) {
+		out[i], err = viewInternal(ids[i], data)
+		return err
+	})
+	return out, at, err
 }
 
-// readLeafBatch reads whole leaves (segments [0, lastLS]) via psync. Each
-// leaf is one multi-page request, so a psync batch of leaves exercises
-// both channel-level (many requests) and package-level (large requests)
-// parallelism at once.
-func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) (map[pagefile.PageID]*leafNode, vtime.Ticks, error) {
-	out := make(map[pagefile.PageID]*leafNode, len(ids))
-	uniq := ids[:0:0]
-	for _, id := range ids {
-		if _, ok := out[id]; !ok {
-			out[id] = nil
-			uniq = append(uniq, id)
+// readPooled reads distinct single pages through the buffer pool and
+// hands each to view, by index into ids: hits as they are met (aliasing
+// the pool frame), then the misses, read via psync PioMax at a time into
+// the read scratch, each before it is inserted clean. The bytes stay
+// valid until the next read-path call: the pool never recycles a frame's
+// buffer, and InsertClean copies. Every page costs CPUPerNode.
+func (t *Tree) readPooled(at vtime.Ticks, ids []pagefile.PageID, view func(i int, data []byte) error) (vtime.Ticks, error) {
+	ps := t.cfg.PageSize
+	var miss []int
+	for i, id := range ids {
+		if !t.pool.Contains(id) {
+			miss = append(miss, i)
+			continue
+		}
+		data, at2, err := t.poolGet(at, id)
+		if err != nil {
+			return at2, err
+		}
+		at = at2
+		if err := view(i, data); err != nil {
+			return at, err
 		}
 	}
-	if t.cfg.LeafSegs == 1 {
-		// Single-page leaves flow through the pool: hits are free, misses
-		// are batched via psync and inserted clean.
-		var missIDs []pagefile.PageID
-		var missBufs [][]byte
-		for _, id := range uniq {
-			if t.pool.Contains(id) {
-				data, at2, err := t.poolGet(at, id)
-				if err != nil {
-					return nil, at2, err
-				}
-				at = at2
-				l, err := decodeLeaf(id, data, t.cfg.PageSize, 1)
-				if err != nil {
-					return nil, at, err
-				}
-				out[id] = l
-				continue
-			}
-			missIDs = append(missIDs, id)
-			missBufs = append(missBufs, make([]byte, t.cfg.PageSize))
+	if len(miss) > 0 {
+		buf := t.readScratch(len(miss) * ps)
+		missIDs := make([]pagefile.PageID, len(miss))
+		missBufs := make([][]byte, len(miss))
+		for j, i := range miss {
+			missIDs[j], missBufs[j] = ids[i], buf[j*ps:(j+1)*ps:(j+1)*ps]
 		}
 		pm := t.cfg.pioMax()
 		var err error
-		for i := 0; i < len(missIDs); i += pm {
-			end := i + pm
-			if end > len(missIDs) {
-				end = len(missIDs)
-			}
-			at, err = t.psyncReadPages(at, missIDs[i:end], missBufs[i:end])
-			if err != nil {
-				return nil, at, err
+		for j := 0; j < len(miss); j += pm {
+			end := min(j+pm, len(miss))
+			if at, err = t.psyncReadPages(at, missIDs[j:end], missBufs[j:end]); err != nil {
+				return at, err
 			}
 		}
-		for i, id := range missIDs {
-			l, err := decodeLeaf(id, missBufs[i], t.cfg.PageSize, 1)
-			if err != nil {
-				return nil, at, err
+		for j, i := range miss {
+			if err := view(i, missBufs[j]); err != nil {
+				return at, err
 			}
-			out[id] = l
-			t.pool.InsertClean(id, missBufs[i])
+			t.pool.InsertClean(missIDs[j], missBufs[j])
 		}
-		at += vtime.Ticks(len(uniq)) * t.cfg.CPUPerNode
-		return out, at, nil
+	}
+	return at + vtime.Ticks(len(ids))*t.cfg.CPUPerNode, nil
+}
+
+// readLeafBatch reads distinct leaves (segments [0, lastLS]) via psync and
+// returns them as views aligned with ids. Each multi-segment leaf is one
+// multi-page request, so a psync batch of leaves exercises both
+// channel-level (many requests) and package-level (large requests)
+// parallelism at once. Single-page leaves flow through the pool like
+// internal nodes. The views are valid until the next read-path call.
+func (t *Tree) readLeafBatch(at vtime.Ticks, ids []pagefile.PageID) ([]leafPage, vtime.Ticks, error) {
+	ps := t.cfg.PageSize
+	out := make([]leafPage, len(ids))
+	if t.cfg.LeafSegs == 1 {
+		at, err := t.readPooled(at, ids, func(i int, data []byte) (err error) {
+			out[i], err = viewLeaf(ids[i], data, ps)
+			return err
+		})
+		return out, at, err
+	}
+	upto := make([]int, len(ids))
+	total := 0
+	for i, id := range ids {
+		upto[i], _ = t.lastLSOf(id)
+		total += upto[i] + 1
+	}
+	buf := t.readScratch(total * ps)
+	bufs := make([][]byte, len(ids))
+	for i := range ids {
+		n := (upto[i] + 1) * ps
+		bufs[i], buf = buf[:n:n], buf[n:]
 	}
 	pm := t.cfg.pioMax()
-	for i := 0; i < len(uniq); i += pm {
-		end := i + pm
-		if end > len(uniq) {
-			end = len(uniq)
-		}
-		chunk := uniq[i:end]
-		bufs := make([][]byte, len(chunk))
-		reqIDs := make([]pagefile.PageID, len(chunk))
-		upto := make([]int, len(chunk))
-		for j, id := range chunk {
-			u, _ := t.lastLSOf(id)
-			upto[j] = u
-			bufs[j] = make([]byte, (u+1)*t.cfg.PageSize)
-			reqIDs[j] = id
-		}
+	var err error
+	for i := 0; i < len(ids); i += pm {
+		end := min(i+pm, len(ids))
 		// A leaf read is one run request; emulate a psync batch of runs.
-		var err error
-		at, err = t.psyncReadRuns(at, reqIDs, upto, bufs)
-		if err != nil {
+		if at, err = t.psyncReadRuns(at, ids[i:end], upto[i:end], bufs[i:end]); err != nil {
 			return nil, at, err
 		}
-		for j, id := range chunk {
-			l, err := t.decodePartialLeaf(id, bufs[j], upto[j]+1)
-			if err != nil {
+		for j := i; j < end; j++ {
+			if out[j], err = viewLeaf(ids[j], bufs[j], ps); err != nil {
 				return nil, at, err
 			}
-			out[id] = l
 		}
 	}
-	at += vtime.Ticks(len(uniq)) * t.cfg.CPUPerNode
-	return out, at, nil
+	return out, at + vtime.Ticks(len(ids))*t.cfg.CPUPerNode, nil
 }
 
 // psyncReadRuns issues one psync batch where request j covers
@@ -297,54 +259,43 @@ func (t *Tree) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value, v
 	if len(rest) == 0 {
 		return found, at, nil
 	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	slices.Sort(rest)
 
-	// Descend level by level. Work items pair a node id with the key range
-	// (slice of rest) routed to it.
-	type item struct {
-		id   pagefile.PageID
-		keys []kv.Key
-	}
-	frontier := []item{{id: t.root, keys: rest}}
+	// Descend level by level. Frontier node i owns the key range
+	// keys[i] (a slice of rest).
+	ids := []pagefile.PageID{t.root}
+	routed := [][]kv.Key{rest}
 	for lvl := t.height - 1; lvl > 0; lvl-- {
-		ids := make([]pagefile.PageID, len(frontier))
-		for i, it := range frontier {
-			ids[i] = it.id
-		}
 		nodes, at2, err := t.readInternalBatch(at, ids)
 		if err != nil {
 			return nil, at2, err
 		}
 		at = at2
-		var next []item
-		for _, it := range frontier {
-			n := nodes[it.id]
-			// Partition it.keys among n's children (keys are sorted).
-			i := 0
-			for i < len(it.keys) {
-				ci := n.childIndex(it.keys[i])
-				j := i + 1
-				for j < len(it.keys) && n.childIndex(it.keys[j]) == ci {
+		var nextIDs []pagefile.PageID
+		var nextKeys [][]kv.Key
+		for i, n := range nodes {
+			// Partition the node's keys among its children (keys are sorted).
+			ks := routed[i]
+			for len(ks) > 0 {
+				ci := n.childIndex(ks[0])
+				j := 1
+				for j < len(ks) && n.childIndex(ks[j]) == ci {
 					j++
 				}
-				next = append(next, item{id: n.children[ci], keys: it.keys[i:j]})
-				i = j
+				nextIDs = append(nextIDs, n.child(ci))
+				nextKeys = append(nextKeys, ks[:j])
+				ks = ks[j:]
 			}
 		}
-		frontier = next
+		ids, routed = nextIDs, nextKeys
 	}
 	// Leaf level: read all target leaves via psync.
-	leafIDs := make([]pagefile.PageID, len(frontier))
-	for i, it := range frontier {
-		leafIDs[i] = it.id
-	}
-	leaves, at, err := t.readLeafBatch(at, leafIDs)
+	leaves, at, err := t.readLeafBatch(at, ids)
 	if err != nil {
 		return nil, at, err
 	}
-	for _, it := range frontier {
-		l := leaves[it.id]
-		for _, k := range it.keys {
+	for i, l := range leaves {
+		for _, k := range routed[i] {
 			if e, ok := l.lookup(k); ok && e.Op != kv.OpDelete {
 				found[k] = e.Rec.Value
 			}
@@ -355,7 +306,12 @@ func (t *Tree) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value, v
 
 // RangeSearch is the paper's prange search (Section 3.1.2): internal
 // levels are traversed level by level, then every leaf overlapping the
-// range is read in parallel via psync. OPQ entries overlay the result.
+// range is read in parallel via psync. The in-range base records and log
+// entries are read straight from the leaf bytes, the OPQ's in-range
+// entries (newer than anything on disk) are appended to the log, and one
+// sort-merge (resolveLog) yields the live records in key order: leaves
+// come left to right with disjoint key ranges, so the gathered base is
+// already sorted.
 func (t *Tree) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ticks, error) {
 	t.stats.RangeOps++
 	if hi <= lo {
@@ -369,13 +325,10 @@ func (t *Tree) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ti
 		}
 		at = at2
 		var next []pagefile.PageID
-		for _, id := range frontier {
-			n := nodes[id]
-			first := n.childIndex(lo)
+		for _, n := range nodes {
 			// hi is exclusive: the child covering hi-1 is the last needed.
-			last := n.childIndex(hi - 1)
-			for c := first; c <= last; c++ {
-				next = append(next, n.children[c])
+			for c, last := n.childIndex(lo), n.childIndex(hi-1); c <= last; c++ {
+				next = append(next, n.child(c))
 			}
 		}
 		frontier = next
@@ -384,41 +337,16 @@ func (t *Tree) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ti
 	if err != nil {
 		return nil, at, err
 	}
-	var recs []kv.Record
-	for _, id := range frontier {
-		for _, r := range leaves[id].liveRecords() {
-			if r.Key >= lo && r.Key < hi {
-				recs = append(recs, r)
-			}
-		}
+	base, log := t.scanBase[:0], t.scanLog[:0]
+	for _, l := range leaves {
+		base, log = l.scan(base, log, lo, hi-1)
 	}
-	kv.SortRecords(recs)
-	// Overlay queued updates (newer than anything on disk): replay the
-	// OPQ entries in arrival order onto the disk image — the newest
-	// operation per key wins, whether it inserts, updates, or deletes.
-	overlay := t.opq.Range(lo, hi)
-	if len(overlay) > 0 {
-		state := make(map[kv.Key]kv.Value, len(recs))
-		dead := make(map[kv.Key]bool)
-		for _, r := range recs {
-			state[r.Key] = r.Value
-		}
-		for _, e := range overlay {
-			switch e.Op {
-			case kv.OpDelete:
-				delete(state, e.Rec.Key)
-				dead[e.Rec.Key] = true
-			case kv.OpInsert, kv.OpUpdate:
-				state[e.Rec.Key] = e.Rec.Value
-				delete(dead, e.Rec.Key)
-			}
-		}
-		out := make([]kv.Record, 0, len(state))
-		for k, v := range state {
-			out = append(out, kv.Record{Key: k, Value: v})
-		}
-		kv.SortRecords(out)
-		recs = out
+	log = t.opq.AppendRange(log, lo, hi)
+	recs := resolveLog(make([]kv.Record, 0, len(base)+len(log)), base, log)
+	if len(leaves) <= t.cfg.pioMax() {
+		// Keep the scratch only while it is sized to one psync batch of
+		// leaves, so one huge scan does not pin its whole read set.
+		t.scanBase, t.scanLog = base, log
 	}
 	return recs, at, nil
 }
@@ -565,11 +493,14 @@ type leafGroup struct {
 // fence records, splitting as needed, and writing updated internal nodes
 // via psync. It returns the fence records for the caller's level.
 func (t *Tree) bupdate(at vtime.Ticks, id pagefile.PageID, level int, batch []kv.Entry) ([]fenceRec, vtime.Ticks, error) {
-	nodes, at, err := t.readInternalBatch(at, []pagefile.PageID{id})
+	pages, at, err := t.readInternalBatch(at, []pagefile.PageID{id})
 	if err != nil {
 		return nil, at, err
 	}
-	n := nodes[id]
+	n, err := decodeInternal(id, pages[0])
+	if err != nil {
+		return nil, at, err
+	}
 
 	// Partition batch among children.
 	type childWork struct {

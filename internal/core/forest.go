@@ -774,7 +774,8 @@ func (f *Forest) SearchMany(at vtime.Ticks, keys []kv.Key) (map[kv.Key]kv.Value,
 
 // RangeSearch runs the parallel range search on every shard that may hold
 // [lo, hi) (all shards under hash partitioning, the overlapping ones
-// under range partitioning) and merges the results in key order.
+// under range partitioning) and k-way merges the per-shard sorted runs
+// into key order.
 func (f *Forest) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.Ticks, error) {
 	if err := f.checkDamaged(); err != nil {
 		return nil, at, err
@@ -782,7 +783,7 @@ func (f *Forest) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.
 	// Freeze the migration frontier across the sweep (see SearchMany).
 	f.migMu.RLock()
 	defer f.migMu.RUnlock()
-	var recs []kv.Record
+	var runs [][]kv.Record
 	done := at
 	for _, si := range f.part.RangeShards(lo, hi) {
 		if f.rpart.IsEvacuated(si) {
@@ -805,11 +806,57 @@ func (f *Forest) RangeSearch(at vtime.Ticks, lo, hi kv.Key) ([]kv.Record, vtime.
 		if err != nil {
 			return nil, d, err
 		}
-		recs = append(recs, rs...)
+		if len(rs) > 0 {
+			runs = append(runs, rs)
+		}
 		done = vtime.Max(done, d)
 	}
-	kv.SortRecords(recs)
-	return recs, done, nil
+	return mergeRuns(runs), done, nil
+}
+
+// mergeRuns merges key-sorted runs into one sorted slice. Equal keys keep
+// run order, so the result is what a stable sort of the concatenated runs
+// gives. A single run is returned as is.
+func mergeRuns(runs [][]kv.Record) []kv.Record {
+	switch len(runs) {
+	case 0:
+		return nil
+	case 1:
+		return runs[0]
+	}
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	out := make([]kv.Record, 0, n)
+	for len(out) < n {
+		// Shards are few, so heads are compared by linear scans: m holds
+		// the smallest head (the earliest run on ties), b the smallest of
+		// the others. m's whole prefix that sorts before b's head is
+		// copied at once, so disjoint runs cost one pass each.
+		m, b := -1, -1
+		for i, r := range runs {
+			if len(r) > 0 && (m < 0 || r[0].Key < runs[m][0].Key) {
+				m = i
+			}
+		}
+		for i, r := range runs {
+			if i != m && len(r) > 0 && (b < 0 || r[0].Key < runs[b][0].Key) {
+				b = i
+			}
+		}
+		take := len(runs[m])
+		if b >= 0 {
+			bk := runs[b][0].Key
+			take = 1
+			for take < len(runs[m]) && (runs[m][take].Key < bk || runs[m][take].Key == bk && m < b) {
+				take++
+			}
+		}
+		out = append(out, runs[m][:take]...)
+		runs[m] = runs[m][take:]
+	}
+	return out
 }
 
 // Insert buffers an index-insert on the owning shard; a full shard OPQ

@@ -19,6 +19,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/kv"
 	"repro/internal/pagefile"
@@ -76,42 +78,80 @@ func (n *internalNode) encode(buf []byte) error {
 	return nil
 }
 
-func decodeInternal(id pagefile.PageID, buf []byte) (*internalNode, error) {
+// internalPage is an internal node page probed in place: the read paths
+// binary-search its key array and read child ids straight from the page
+// bytes instead of decoding the node.
+type internalPage []byte
+
+// viewInternal checks that buf holds internal node id and returns it as a
+// page view.
+func viewInternal(id pagefile.PageID, buf []byte) (internalPage, error) {
 	if buf[0] != kindInternal {
 		return nil, fmt.Errorf("core: page %d is not an internal node (kind %d)", id, buf[0])
 	}
-	n := &internalNode{id: id, level: int(buf[1])}
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	if count > maxInternalKeys(len(buf)) {
-		return nil, fmt.Errorf("core: corrupt internal %d: count %d", id, count)
+	p := internalPage(buf)
+	if p.count() > maxInternalKeys(len(buf)) {
+		return nil, fmt.Errorf("core: corrupt internal %d: count %d", id, p.count())
 	}
-	n.keys = make([]kv.Key, count)
-	n.children = make([]pagefile.PageID, count+1)
-	off := internalHeaderSize
-	for i := range n.keys {
-		n.keys[i] = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	for i := range n.children {
-		n.children[i] = pagefile.PageID(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return n, nil
+	return p, nil
+}
+
+func (p internalPage) level() int { return int(p[1]) }
+
+func (p internalPage) count() int { return int(binary.LittleEndian.Uint16(p[2:])) }
+
+func (p internalPage) key(i int) kv.Key {
+	return binary.LittleEndian.Uint64(p[internalHeaderSize+8*i:])
+}
+
+func (p internalPage) child(i int) pagefile.PageID {
+	return pagefile.PageID(binary.LittleEndian.Uint64(p[internalHeaderSize+8*(p.count()+i):]))
 }
 
 // childIndex is the paper's CheckSearchNeeded predicate: the child i such
 // that K[i-1] <= k < K[i].
-func (n *internalNode) childIndex(k kv.Key) int {
-	lo, hi := 0, len(n.keys)
+func (p internalPage) childIndex(k kv.Key) int {
+	lo, hi := 0, p.count()
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if k < n.keys[mid] {
+		mid := int(uint(lo+hi) >> 1)
+		if k < p.key(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return lo
+}
+
+// decodeInternal copies an internal node page into its mutable in-memory
+// form (the update path edits and re-encodes it).
+func decodeInternal(id pagefile.PageID, buf []byte) (*internalNode, error) {
+	p, err := viewInternal(id, buf)
+	if err != nil {
+		return nil, err
+	}
+	n := &internalNode{
+		id:       id,
+		level:    p.level(),
+		keys:     make([]kv.Key, p.count()),
+		children: make([]pagefile.PageID, p.count()+1),
+	}
+	for i := range n.keys {
+		n.keys[i] = p.key(i)
+	}
+	for i := range n.children {
+		n.children[i] = p.child(i)
+	}
+	return n, nil
+}
+
+// childIndex is internalPage.childIndex on the decoded node.
+func (n *internalNode) childIndex(k kv.Key) int {
+	i, found := slices.BinarySearch(n.keys, k)
+	if found {
+		i++
+	}
+	return i
 }
 
 // leafNode is the in-memory form of an asymmetric PIO B-tree leaf: L
@@ -266,40 +306,6 @@ func (l *leafNode) fillFront(buf []byte, pageSize, firstSeg int) error {
 	return nil
 }
 
-// decodeLeaf parses a whole leaf from buf (segs consecutive pages).
-func decodeLeaf(id pagefile.PageID, buf []byte, pageSize, segs int) (*leafNode, error) {
-	if len(buf) != segs*pageSize {
-		return nil, fmt.Errorf("core: leaf %d: buffer %d bytes, want %d", id, len(buf), segs*pageSize)
-	}
-	l := &leafNode{id: id, segs: segs}
-	for s := 0; s < segs; s++ {
-		page := buf[s*pageSize : (s+1)*pageSize]
-		if page[0] != kindLeafSeg {
-			return nil, fmt.Errorf("core: leaf %d seg %d: bad kind %d", id, s, page[0])
-		}
-		n := int(binary.LittleEndian.Uint16(page[2:]))
-		if n > segCap(pageSize) {
-			return nil, fmt.Errorf("core: leaf %d seg %d: count %d", id, s, n)
-		}
-		if s == 0 {
-			l.sorted = int(binary.LittleEndian.Uint32(page[4:]))
-			l.next = pagefile.PageID(binary.LittleEndian.Uint64(page[8:]))
-		}
-		off := segHeaderSize
-		for i := 0; i < n; i++ {
-			l.entries = append(l.entries, kv.GetEntry(page[off:]))
-			off += kv.EntrySize
-		}
-		if n < segCap(pageSize) {
-			break // later segments are empty
-		}
-	}
-	if l.sorted > len(l.entries) {
-		return nil, fmt.Errorf("core: leaf %d: sorted %d > entries %d", id, l.sorted, len(l.entries))
-	}
-	return l, nil
-}
-
 // lastSeg returns the segment index holding the newest entry (0 for an
 // empty leaf): the last LS cached in the LSMap.
 func (l *leafNode) lastSeg(pageSize int) int {
@@ -315,85 +321,18 @@ func (l *leafNode) appendEntries(entries []kv.Entry) {
 	l.entries = append(l.entries, entries...)
 }
 
-// lookup returns the newest entry for key k and whether any entry exists:
-// the appended tail is scanned newest-first, then the sorted base region.
-func (l *leafNode) lookup(k kv.Key) (kv.Entry, bool) {
-	for i := len(l.entries) - 1; i >= l.sorted; i-- {
-		if l.entries[i].Rec.Key == k {
-			return l.entries[i], true
-		}
-	}
-	// Binary search the base region; take the last of an equal-key run.
-	lo, hi := 0, l.sorted
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.entries[mid].Rec.Key <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > 0 && l.entries[lo-1].Rec.Key == k {
-		return l.entries[lo-1], true
-	}
-	return kv.Entry{}, false
-}
-
-// liveRecords resolves the leaf's log into the current sorted set of live
-// records (base region plus tail, deletes and updates applied). It is the
-// read half of the shrink operation and of range scans.
-func (l *leafNode) liveRecords() []kv.Record {
-	if len(l.entries) == l.sorted {
-		// Fast path: base region only, already sorted, all inserts.
-		out := make([]kv.Record, l.sorted)
-		for i, e := range l.entries[:l.sorted] {
-			out[i] = e.Rec
-		}
-		return out
-	}
-	// Replay the log in arrival order onto the base region. Order tracking
-	// is separate from liveness: a delete followed by a re-insert of the
-	// same key must not list the key twice.
-	m := make(map[kv.Key]kv.Value, len(l.entries))
-	inOrder := make(map[kv.Key]bool, len(l.entries))
-	order := make([]kv.Key, 0, len(l.entries))
-	note := func(k kv.Key) {
-		if !inOrder[k] {
-			inOrder[k] = true
-			order = append(order, k)
-		}
-	}
-	for _, e := range l.entries[:l.sorted] {
-		note(e.Rec.Key)
-		m[e.Rec.Key] = e.Rec.Value
-	}
-	for _, e := range l.entries[l.sorted:] {
-		switch e.Op {
-		case kv.OpInsert, kv.OpUpdate:
-			note(e.Rec.Key)
-			m[e.Rec.Key] = e.Rec.Value
-		case kv.OpDelete:
-			delete(m, e.Rec.Key)
-		}
-	}
-	out := make([]kv.Record, 0, len(m))
-	for _, k := range order {
-		if v, ok := m[k]; ok {
-			out = append(out, kv.Record{Key: k, Value: v})
-		}
-	}
-	kv.SortRecords(out)
-	return out
-}
-
 // shrink rebuilds the leaf from its live records: the paper's shrink
 // operation (Section 3.2.2) — index-delete operations cancel index-insert
 // operations with the same records, then the survivors are sorted into a
 // fresh base region.
 func (l *leafNode) shrink() {
-	recs := l.liveRecords()
+	base := make([]kv.Record, l.sorted)
+	for i, e := range l.entries[:l.sorted] {
+		base[i] = e.Rec
+	}
+	live := resolveLog(make([]kv.Record, 0, len(l.entries)), base, l.entries[l.sorted:])
 	l.entries = l.entries[:0]
-	for _, r := range recs {
+	for _, r := range live {
 		l.entries = append(l.entries, kv.Entry{Rec: r, Op: kv.OpInsert})
 	}
 	l.sorted = len(l.entries)
@@ -406,4 +345,156 @@ func (l *leafNode) minKey() kv.Key {
 		return 0
 	}
 	return l.entries[0].Rec.Key
+}
+
+// leafPage is a leaf probed in place: the bytes of its segments [0, n)
+// exactly as read from the device or the buffer pool. Entries fill
+// segments in order, so entry i sits at slot i%segCap of segment i/segCap;
+// decoding stops at the first non-full segment, and unread segments past
+// the view are empty by the same invariant. The read paths probe and scan
+// it without materializing entries.
+type leafPage struct {
+	buf    []byte
+	ps     int // page size
+	slots  int // entries per segment
+	count  int // entries in the view
+	sorted int // length of the key-sorted base region (distinct keys)
+}
+
+// viewLeaf checks the segments of leaf id held in buf (a whole number of
+// pages, starting at segment 0) and returns them as a leaf view.
+func viewLeaf(id pagefile.PageID, buf []byte, ps int) (leafPage, error) {
+	v := leafPage{buf: buf, ps: ps, slots: segCap(ps)}
+	for s := 0; s < len(buf)/ps; s++ {
+		page := buf[s*ps:]
+		if page[0] != kindLeafSeg {
+			return leafPage{}, fmt.Errorf("core: leaf %d seg %d: bad kind %d", id, s, page[0])
+		}
+		n := int(binary.LittleEndian.Uint16(page[2:]))
+		if n > v.slots {
+			return leafPage{}, fmt.Errorf("core: leaf %d seg %d: count %d", id, s, n)
+		}
+		v.count += n
+		if n < v.slots {
+			break // later segments are empty
+		}
+	}
+	v.sorted = int(binary.LittleEndian.Uint32(buf[4:]))
+	if v.sorted > v.count {
+		return leafPage{}, fmt.Errorf("core: leaf %d: sorted %d > entries %d", id, v.sorted, v.count)
+	}
+	return v, nil
+}
+
+// slot returns the bytes of segment s's entry area.
+func (v leafPage) slot(s int) []byte { return v.buf[s*v.ps+segHeaderSize:] }
+
+// at returns entry i's bytes (random access, for the binary searches).
+func (v leafPage) at(i int) []byte { return v.slot(i / v.slots)[i%v.slots*kv.EntrySize:] }
+
+func (v leafPage) key(i int) kv.Key { return binary.LittleEndian.Uint64(v.at(i)) }
+
+// lowerBound returns the first base-region index whose key is >= k.
+func (v leafPage) lowerBound(k kv.Key) int {
+	lo, hi := 0, v.sorted
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v.key(mid) < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lookup returns the newest entry for key k and whether any entry exists:
+// the appended tail is scanned newest-first, then the sorted base region
+// is binary-searched.
+func (v leafPage) lookup(k kv.Key) (kv.Entry, bool) {
+	for i := v.count - 1; i >= v.sorted; {
+		s := i / v.slots
+		area := v.slot(s)
+		for j, stop := i-s*v.slots, max(v.sorted-s*v.slots, 0); j >= stop; j-- {
+			if b := area[j*kv.EntrySize:]; binary.LittleEndian.Uint64(b) == k {
+				return kv.GetEntry(b), true
+			}
+		}
+		i = s*v.slots - 1
+	}
+	if i := v.lowerBound(k); i < v.sorted && v.key(i) == k {
+		return kv.GetEntry(v.at(i)), true
+	}
+	return kv.Entry{}, false
+}
+
+// scan appends to base the base-region records and to log the tail
+// entries whose keys lie in [lo, last]: base ascending by key, log in
+// arrival order — the two inputs of resolveLog.
+func (v leafPage) scan(base []kv.Record, log []kv.Entry, lo, last kv.Key) ([]kv.Record, []kv.Entry) {
+baseLoop:
+	for i := v.lowerBound(lo); i < v.sorted; {
+		s := i / v.slots
+		area := v.slot(s)
+		for j, n := i-s*v.slots, min(v.slots, v.sorted-s*v.slots); j < n; j++ {
+			b := area[j*kv.EntrySize:]
+			k := binary.LittleEndian.Uint64(b)
+			if k > last {
+				break baseLoop
+			}
+			base = append(base, kv.Record{Key: k, Value: binary.LittleEndian.Uint64(b[8:])})
+		}
+		i = (s + 1) * v.slots
+	}
+	for i := v.sorted; i < v.count; {
+		s := i / v.slots
+		area := v.slot(s)
+		for j, n := i-s*v.slots, min(v.slots, v.count-s*v.slots); j < n; j++ {
+			b := area[j*kv.EntrySize:]
+			if k := binary.LittleEndian.Uint64(b); k >= lo && k <= last {
+				log = append(log, kv.GetEntry(b))
+			}
+		}
+		i = (s + 1) * v.slots
+	}
+	return base, log
+}
+
+// liveRecords resolves the whole view into its sorted live records.
+func (v leafPage) liveRecords() []kv.Record {
+	base, log := v.scan(nil, nil, 0, math.MaxUint64)
+	return resolveLog(make([]kv.Record, 0, len(base)+len(log)), base, log)
+}
+
+// resolveLog is the one leaf-log resolver, shared by range scans (with
+// the OPQ overlay), shrink and the invariant walk. base is a key-sorted
+// run of live records with distinct keys; log holds the operations
+// applied after it, in arrival order. log is stable-sorted by key in
+// place, so each key's operations stay in arrival order, and merged with
+// base: for every key the newest operation wins (a delete drops the key,
+// an insert or update sets its value) and keys without one keep their
+// base record. The live records are appended to out, which must not
+// overlap base, in key order.
+func resolveLog(out, base []kv.Record, log []kv.Entry) []kv.Record {
+	kv.SortEntries(log)
+	i := 0
+	for j := 0; j < len(log); j++ {
+		k := log[j].Rec.Key
+		if j+1 < len(log) && log[j+1].Rec.Key == k {
+			continue // an older operation on k
+		}
+		b := i
+		for b < len(base) && base[b].Key < k {
+			b++
+		}
+		out = append(out, base[i:b]...)
+		if b < len(base) && base[b].Key == k {
+			b++
+		}
+		i = b
+		if log[j].Op != kv.OpDelete {
+			out = append(out, log[j].Rec)
+		}
+	}
+	return append(out, base[i:]...)
 }

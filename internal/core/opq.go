@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/kv"
 )
@@ -14,6 +16,7 @@ import (
 // binary search of the sorted region plus a linear scan of the short tail.
 type OPQ struct {
 	entries      []kv.Entry
+	spare        []kv.Entry // merge target of the next Sort; swapped with entries
 	sortedOffset int
 	capacity     int
 	speriod      int
@@ -71,12 +74,14 @@ func (q *OPQ) Sort() {
 		q.sinceSort = 0
 		return
 	}
-	tail := make([]kv.Entry, len(q.entries)-q.sortedOffset)
-	copy(tail, q.entries[q.sortedOffset:])
+	tail := q.entries[q.sortedOffset:]
 	kv.SortEntries(tail)
-	merged := kv.MergeEntries(q.entries[:q.sortedOffset], tail)
-	q.entries = q.entries[:0]
-	q.entries = append(q.entries, merged...)
+	if cap(q.spare) < len(q.entries) {
+		q.spare = make([]kv.Entry, 0, cap(q.entries))
+	}
+	merged := kv.MergeEntries(q.spare[:0], q.entries[:q.sortedOffset], tail)
+	q.spare = q.entries[:0]
+	q.entries = merged
 	q.sortedOffset = len(q.entries)
 	q.sinceSort = 0
 	q.Sorts++
@@ -106,16 +111,22 @@ func (q *OPQ) Lookup(k kv.Key) (kv.Entry, bool) {
 	return kv.Entry{}, false
 }
 
-// Range returns all queued entries with lo <= key < hi in arrival order
-// (needed to overlay the OPQ onto range-search results).
-func (q *OPQ) Range(lo, hi kv.Key) []kv.Entry {
-	var out []kv.Entry
-	for _, e := range q.entries {
+// AppendRange appends to dst every queued entry with lo <= key < hi, in
+// queue order: the sorted region's matches (a binary-searched contiguous
+// run), then the tail's. Per key that is arrival order, which is what the
+// range-search overlay needs.
+func (q *OPQ) AppendRange(dst []kv.Entry, lo, hi kv.Key) []kv.Entry {
+	sorted := q.entries[:q.sortedOffset]
+	i, _ := slices.BinarySearchFunc(sorted, lo, func(e kv.Entry, k kv.Key) int { return cmp.Compare(e.Rec.Key, k) })
+	for ; i < len(sorted) && sorted[i].Rec.Key < hi; i++ {
+		dst = append(dst, sorted[i])
+	}
+	for _, e := range q.entries[q.sortedOffset:] {
 		if e.Rec.Key >= lo && e.Rec.Key < hi {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	return dst
 }
 
 // TakeBatch removes and returns up to bcnt entries, key-sorted, for one

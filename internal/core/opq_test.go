@@ -81,9 +81,9 @@ func TestOPQRange(t *testing.T) {
 	for _, k := range []uint64{5, 15, 25, 35} {
 		q.Append(kv.Entry{Rec: kv.Record{Key: k, Value: k}, Op: kv.OpInsert})
 	}
-	got := q.Range(10, 30)
+	got := q.AppendRange(nil, 10, 30)
 	if len(got) != 2 || got[0].Rec.Key != 15 || got[1].Rec.Key != 25 {
-		t.Fatalf("Range = %+v", got)
+		t.Fatalf("AppendRange = %+v", got)
 	}
 }
 

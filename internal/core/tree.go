@@ -117,6 +117,13 @@ type Tree struct {
 	stats           Stats
 	buf             []byte // page scratch
 	pendingInternal []pendingPage
+
+	// Read-path scratch, reused across calls (the tree is single-threaded):
+	// page bytes the read paths probe in place, and the base records and
+	// log entries a range scan gathers before resolving them.
+	readBuf  []byte
+	scanBase []kv.Record
+	scanLog  []kv.Entry
 }
 
 // Stats counts PIO B-tree activity.
@@ -288,11 +295,11 @@ func (t *Tree) ApproxMedianKey() (kv.Key, bool) {
 	if err := t.pf.ReadPageNoCost(t.root, buf); err != nil {
 		return 0, false
 	}
-	n, err := decodeInternal(t.root, buf)
-	if err != nil || len(n.keys) == 0 {
+	n, err := viewInternal(t.root, buf)
+	if err != nil || n.count() == 0 {
 		return 0, false
 	}
-	return n.keys[len(n.keys)/2], true
+	return n.key(n.count() / 2), true
 }
 
 // allocLeaf allocates LeafSegs consecutive pages and returns the first id.
@@ -312,73 +319,75 @@ func (t *Tree) writeLeafNoCost(l *leafNode) error {
 	return nil
 }
 
-// readInternal fetches an internal node through the buffer pool.
-func (t *Tree) readInternal(at vtime.Ticks, id pagefile.PageID) (*internalNode, vtime.Ticks, error) {
+// readInternal fetches an internal node through the buffer pool. The
+// view aliases the pool frame; the caller reads the child it needs before
+// touching the pool again.
+func (t *Tree) readInternal(at vtime.Ticks, id pagefile.PageID) (internalPage, vtime.Ticks, error) {
 	data, at, err := t.poolGet(at, id)
 	if err != nil {
 		return nil, at, err
 	}
-	n, err := decodeInternal(id, data)
+	n, err := viewInternal(id, data)
 	if err != nil {
 		return nil, at, err
 	}
 	return n, at + t.cfg.CPUPerNode, nil
 }
 
+// readScratch returns an n-byte buffer for pages the read paths probe in
+// place. Its contents are valid until the next call. Buffers larger than
+// one full PioMax batch of leaves are not kept, so a huge SearchMany does
+// not pin its whole read set.
+func (t *Tree) readScratch(n int) []byte {
+	if n <= cap(t.readBuf) {
+		return t.readBuf[:n]
+	}
+	b := make([]byte, n)
+	if n <= t.cfg.pioMax()*t.cfg.LeafSegs*t.cfg.PageSize {
+		t.readBuf = b
+	}
+	return b
+}
+
 // readLeafTimed reads segments [0, upto] of a leaf as one device request
-// and decodes them. The partial decode is safe because appends fill
-// segments in order and upto comes from the LSMap (or the full leaf size).
+// and returns them as a view. The partial read is safe because appends
+// fill segments in order and upto comes from the LSMap (or the full leaf
+// size).
 //
 // Single-segment leaves (L=1, the paper's Section 4.2 configuration) are
 // exactly one page and flow through the buffer pool like internal nodes —
 // the pool simply holds whatever nodes fit, as the paper's "the rest of
 // main memory space was allocated to the buffer pool" implies. Multi-
 // segment leaves bypass the pool (their read cost is the Pr(L) term of
-// the cost model).
-func (t *Tree) readLeafTimed(at vtime.Ticks, id pagefile.PageID, upto int) (*leafNode, vtime.Ticks, error) {
+// the cost model) and are read into the tree's read scratch.
+func (t *Tree) readLeafTimed(at vtime.Ticks, id pagefile.PageID, upto int) (leafPage, vtime.Ticks, error) {
+	var buf []byte
+	var err error
 	if t.cfg.LeafSegs == 1 {
-		data, at, err := t.poolGet(at, id)
-		if err != nil {
-			return nil, at, err
-		}
-		l, err := decodeLeaf(id, data, t.cfg.PageSize, 1)
-		return l, at + t.cfg.CPUPerNode, err
+		buf, at, err = t.poolGet(at, id)
+	} else {
+		n := upto + 1
+		buf = t.readScratch(n * t.cfg.PageSize)
+		at, err = t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
+			return t.pf.ReadRun(at, id, n, buf)
+		})
 	}
-	n := upto + 1
-	buf := make([]byte, n*t.cfg.PageSize)
-	at, err := t.retryIO(at, func(at vtime.Ticks) (vtime.Ticks, error) {
-		return t.pf.ReadRun(at, id, n, buf)
-	})
 	if err != nil {
-		return nil, at, err
+		return leafPage{}, at, err
 	}
-	l, err := t.decodePartialLeaf(id, buf, n)
+	l, err := viewLeaf(id, buf, t.cfg.PageSize)
 	return l, at + t.cfg.CPUPerNode, err
 }
 
-// decodePartialLeaf decodes a leaf from its first n segments, treating the
-// unread tail segments as empty.
-func (t *Tree) decodePartialLeaf(id pagefile.PageID, buf []byte, n int) (*leafNode, error) {
-	full := make([]byte, t.cfg.LeafSegs*t.cfg.PageSize)
-	copy(full, buf[:n*t.cfg.PageSize])
-	// Zero-fill the tail segments as valid empty segments.
-	for s := n; s < t.cfg.LeafSegs; s++ {
-		page := full[s*t.cfg.PageSize:]
-		page[0] = kindLeafSeg
-		page[1] = byte(s)
-	}
-	return decodeLeaf(id, full, t.cfg.PageSize, t.cfg.LeafSegs)
-}
-
 // readWholeLeafNoCost reads a full leaf without timing (setup/validation).
-func (t *Tree) readWholeLeafNoCost(id pagefile.PageID) (*leafNode, error) {
+func (t *Tree) readWholeLeafNoCost(id pagefile.PageID) (leafPage, error) {
 	buf := make([]byte, t.cfg.LeafSegs*t.cfg.PageSize)
 	for s := 0; s < t.cfg.LeafSegs; s++ {
 		if err := t.pf.ReadPageNoCost(id+pagefile.PageID(s), buf[s*t.cfg.PageSize:(s+1)*t.cfg.PageSize]); err != nil {
-			return nil, err
+			return leafPage{}, err
 		}
 	}
-	return decodeLeaf(id, buf, t.cfg.PageSize, t.cfg.LeafSegs)
+	return viewLeaf(id, buf, t.cfg.PageSize)
 }
 
 // lastLSOf returns the segment index to read from for leaf id: the LSMap
@@ -410,12 +419,12 @@ func (t *Tree) Search(at vtime.Ticks, k kv.Key) (kv.Value, bool, vtime.Ticks, er
 	id := t.root
 	var err error
 	for lvl := t.height - 1; lvl > 0; lvl-- {
-		var n *internalNode
+		var n internalPage
 		n, at, err = t.readInternal(at, id)
 		if err != nil {
 			return 0, false, at, err
 		}
-		id = n.children[n.childIndex(k)]
+		id = n.child(n.childIndex(k))
 	}
 	upto, _ := t.lastLSOf(id)
 	leaf, at, err := t.readLeafTimed(at, id, upto)
@@ -596,8 +605,8 @@ func (t *Tree) BulkLoad(recs []kv.Record) error {
 
 // CheckInvariants walks the whole tree without timing and verifies
 // structural invariants: internal keys sorted, children in range, leaf
-// base regions sorted, leaf chain ordered, live count consistent with the
-// tracked count.
+// base regions strictly ascending (the resolver relies on distinct base
+// keys), leaf chain ordered, live count consistent with the tracked count.
 func (t *Tree) CheckInvariants() error {
 	var liveTotal int64
 	var walk func(id pagefile.PageID, level int, lo, hi kv.Key, hasLo, hasHi bool) error
@@ -608,8 +617,8 @@ func (t *Tree) CheckInvariants() error {
 				return err
 			}
 			for i := 1; i < l.sorted; i++ {
-				if l.entries[i-1].Rec.Key > l.entries[i].Rec.Key {
-					return fmt.Errorf("core: leaf %d base region unsorted at %d", id, i)
+				if l.key(i-1) >= l.key(i) {
+					return fmt.Errorf("core: leaf %d base region not strictly ascending at %d", id, i)
 				}
 			}
 			for _, r := range l.liveRecords() {

@@ -463,7 +463,7 @@ func TestLeafSegmentEncodeDecodeRoundTrip(t *testing.T) {
 		if err := l.encodeAll(buf, ps); err != nil {
 			return len(l.entries) > leafCap(ps, 4) // overflow is the only allowed failure
 		}
-		got, err := decodeLeaf(0, buf, ps, 4)
+		got, err := decodeTail(0, buf, ps, 4, 0)
 		if err != nil {
 			return false
 		}
@@ -701,5 +701,42 @@ func TestConfigValidation(t *testing.T) {
 	bad.PageSize = 2048 // mismatch with pagefile
 	if _, err := New(pf, bad); err == nil {
 		t.Fatal("page size mismatch accepted")
+	}
+}
+
+// TestPointSearchAllocs pins the host allocations of a point search whose
+// every node is a buffer-pool hit: the descent and the leaf probe read the
+// pool frames in place, so the search allocates nothing. Allocation
+// counts are deterministic, so the gate is exact.
+func TestPointSearchAllocs(t *testing.T) {
+	cfg := smallCfg()
+	cfg.LeafSegs = 1
+	cfg.BufferBytes = 1 << 20 // every node fits in the pool
+	tr := newTestTree(t, cfg)
+	var recs []kv.Record
+	for i := 0; i < 3000; i++ {
+		recs = append(recs, kv.Record{Key: kv.Key(2 * i), Value: kv.Value(i)})
+	}
+	if err := tr.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: want a descent through two internal levels", tr.Height())
+	}
+	const k = 2 * 1234
+	if v, ok, _, err := tr.Search(0, k); err != nil || !ok || v != 1234 {
+		t.Fatalf("search: %v %v %v", v, ok, err)
+	}
+	misses := tr.Pool().Stats().Misses
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := tr.Search(0, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := tr.Pool().Stats().Misses; got != misses {
+		t.Fatalf("pool misses rose from %d to %d: the searches were not all hits", misses, got)
+	}
+	if allocs != 0 {
+		t.Fatalf("pool-hit point search: %v allocs/op, want exactly 0", allocs)
 	}
 }

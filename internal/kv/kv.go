@@ -5,7 +5,9 @@
 package kv
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -97,14 +99,14 @@ func GetRecord(b []byte) Record {
 
 // SortRecords orders records ascending by key (stable on equal keys).
 func SortRecords(rs []Record) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Key < rs[j].Key })
+	slices.SortStableFunc(rs, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // SortEntries orders entries ascending by key, preserving the relative
 // order of operations on the same key (the conflicting-order requirement
 // of Section 3.4 within one batch).
 func SortEntries(es []Entry) {
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Rec.Key < es[j].Rec.Key })
+	slices.SortStableFunc(es, func(a, b Entry) int { return cmp.Compare(a.Rec.Key, b.Rec.Key) })
 }
 
 // SearchRecords returns the position of the first record with key >= k.
@@ -112,11 +114,11 @@ func SearchRecords(rs []Record, k Key) int {
 	return sort.Search(len(rs), func(i int) bool { return rs[i].Key >= k })
 }
 
-// MergeEntries merges two key-sorted entry slices into one sorted slice,
+// MergeEntries appends to out the merge of two key-sorted entry slices,
 // preserving order between equal keys (a's entries are older and come
-// first) — the OPQ sorted-region merge of Section 3.1.3.
-func MergeEntries(a, b []Entry) []Entry {
-	out := make([]Entry, 0, len(a)+len(b))
+// first) — the OPQ sorted-region merge of Section 3.1.3. out must not
+// overlap a or b.
+func MergeEntries(out, a, b []Entry) []Entry {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].Rec.Key <= b[j].Rec.Key {

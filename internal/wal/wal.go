@@ -19,11 +19,14 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/flashsim"
 	"repro/internal/ssdio"
@@ -215,12 +218,14 @@ func unmarshal(b []byte) (Record, int, error) {
 // append lands wholly before or wholly after any force) and a forest may
 // force its shards' logs without holding their shard locks. Records carry
 // a Relation, but the forest gives every shard a log of its own.
-// Concurrent ForceGroup calls whose log sets overlap must acquire them in
-// a consistent order (the forest's group flush, Checkpoint and Sync pass
-// logs in ascending shard order).
+// ForceGroup locks its members in creation order whatever order the
+// caller names them in, so concurrent gangs over overlapping log sets
+// (a forest's Sync in shard order, a migration forcing [src, dst]) cannot
+// deadlock.
 type Log struct {
 	f        *ssdio.File
 	pageSize int
+	seq      uint64 // creation order: ForceGroup locks gang members by it
 
 	mu      sync.Mutex
 	nextLSN uint64 // guarded by mu
@@ -255,8 +260,11 @@ func NewLog(f *ssdio.File, pageSize int) (*Log, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("wal: page size must be positive, got %d", pageSize)
 	}
-	return &Log{f: f, pageSize: pageSize, nextLSN: 1}, nil
+	return &Log{f: f, pageSize: pageSize, seq: logSeq.Add(1), nextLSN: 1}, nil
 }
+
+// logSeq numbers logs in creation order (see Log.seq).
+var logSeq atomic.Uint64
 
 // Append adds a record to the in-memory tail and returns its LSN. The
 // record is not durable until Force.
@@ -365,29 +373,36 @@ func (l *Log) Unforced() bool {
 // costs one submission whose member writes overlap on the device's
 // channels — the paper's eq.-(10) batching applied to the log plane.
 // Nil logs, duplicates, and logs with empty tails are skipped; all log
-// files must live on one ssdio.Space (one device). The int result is the
-// number of logs actually forced: 0 means no device submission was
-// issued at all.
+// files must live on one ssdio.Space (one device). The gang's requests
+// keep the caller's order. The int result is the number of logs actually
+// forced: 0 means no device submission was issued at all.
 //
-//lint:lockorder-multi wal.Log.mu gang members are acquired in the caller-supplied ascending shard order
+//lint:lockorder-multi wal.Log.mu gang members are acquired in ascending Log.seq (creation) order
 func ForceGroup(at vtime.Ticks, logs []*Log) (vtime.Ticks, int, error) {
 	// Hold every member's mutex across the whole gang so racing appends
-	// land wholly before or after it (callers already serialize gangs that
-	// share logs, so the acquisition order cannot deadlock).
+	// land wholly before or after it. The mutexes are taken in creation
+	// order, not the caller's, so two gangs naming the same logs in
+	// different orders cannot deadlock.
+	var named []*Log
+	for _, l := range logs {
+		if l != nil && !slices.Contains(named, l) {
+			named = append(named, l)
+		}
+	}
+	locked := slices.Clone(named)
+	slices.SortFunc(locked, func(a, b *Log) int { return cmp.Compare(a.seq, b.seq) })
+	for _, l := range locked {
+		l.mu.Lock()
+	}
 	var members []*Log
 	var reqs []ssdio.Req
-	seen := make(map[*Log]bool, len(logs))
 	unlock := func() {
 		for _, l := range members {
 			l.mu.Unlock()
 		}
 	}
-	for _, l := range logs {
-		if l == nil || seen[l] {
-			continue
-		}
-		seen[l] = true
-		l.mu.Lock()
+	for _, l := range named {
+		//lint:ignore guardedby every named log's mu was acquired in seq order above
 		req, ok := l.pendingReq()
 		if !ok {
 			l.mu.Unlock()

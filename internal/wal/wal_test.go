@@ -2,8 +2,10 @@ package wal
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/flashsim"
 	"repro/internal/ssdio"
@@ -328,6 +330,71 @@ func TestForceGroupGang(t *testing.T) {
 	// Empty gang is free and reports zero submissions.
 	if d, n, err := ForceGroup(42, []*Log{logs[3], nil}); err != nil || d != 42 || n != 0 {
 		t.Fatalf("empty gang: %v %v %v", d, n, err)
+	}
+}
+
+// TestForceGroupLockOrder: gangs naming the same logs in opposite orders,
+// with appends racing on both logs, must not deadlock. ForceGroup holds
+// every member's mutex across the gang, so it has to take them in one
+// canonical order whatever order the caller passes.
+func TestForceGroupLockOrder(t *testing.T) {
+	space := ssdio.NewSpace(flashsim.MustDevice(flashsim.P300()))
+	logs := make([]*Log, 2)
+	for i := range logs {
+		f, err := space.Create(fmt.Sprintf("wal%d", i), 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if logs[i], err = NewLog(f, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := logs[0], logs[1]
+	const rounds = 2000
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	gang := func(order []*Log) {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			order[0].Append(Record{Kind: KindLogicalRedo, Key: uint64(i)})
+			if _, _, err := ForceGroup(0, order); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go gang([]*Log{a, b})
+	go gang([]*Log{b, a})
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			a.Append(Record{Kind: KindLogicalRedo, Key: uint64(i)})
+			b.Append(Record{Kind: KindLogicalRedo, Key: uint64(i)})
+		}
+	}()
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ForceGroup([a,b]) and ForceGroup([b,a]) deadlocked")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i, l := range logs {
+		if _, err := l.Force(0); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := l.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 * rounds; len(recs) != want {
+			t.Fatalf("log %d holds %d records, want %d", i, len(recs), want)
+		}
 	}
 }
 
